@@ -22,8 +22,6 @@
 #include "BenchCommon.h"
 
 #include "flow/StageCache.h"
-#include "mir/MContext.h"
-#include "mir/Printer.h"
 #include "serve/Client.h"
 #include "serve/Protocol.h"
 #include "serve/Server.h"
@@ -207,33 +205,6 @@ void reportPhase(JsonReport &report, const char *phase,
   report.field("result_mismatches", mismatches);
 }
 
-/// A slow inline module (many renamed copies of conv2d with a backend
-/// unroll directive) that pins the overload daemon's single worker long
-/// enough for the burst behind it to be admitted or rejected
-/// deterministically, even on one CPU.
-std::string slowInlineMlir(int copies) {
-  const flow::KernelSpec *spec = flow::findKernel("conv2d");
-  mir::MContext ctx;
-  flow::KernelConfig config;
-  config.unrollFactor = 32;
-  mir::OwnedModule module = spec->build(ctx, config);
-  std::string one = mir::printModule(module.get());
-  size_t open = one.find('{');
-  size_t close = one.rfind('}');
-  std::string body = one.substr(open + 1, close - open - 1);
-  std::string text = "builtin.module {\n";
-  for (int i = 0; i < copies; ++i) {
-    std::string fn = body;
-    std::string to = strfmt("@conv2d_%d", i);
-    for (size_t pos = fn.find("@conv2d"); pos != std::string::npos;
-         pos = fn.find("@conv2d", pos + to.size()))
-      fn.replace(pos, 7, to);
-    text += fn;
-  }
-  text += "}\n";
-  return text;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -365,11 +336,8 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "BENCH FAILURE: overload connect failed\n");
       return 1;
     }
-    serve::Request blocker;
-    blocker.id = "blocker";
-    blocker.mlir = slowInlineMlir(16);
-    blocker.top = "conv2d_0"; // multi-function inline MLIR needs an explicit top
-    client.sendLine(serve::renderCompileRequest("blocker", blocker));
+    client.sendLine(serve::renderCompileRequest(
+        "blocker", serve::slowBlockerRequest("blocker")));
     // Wait for the worker to be demonstrably inside the blocker's flow.
     std::string line;
     do {

@@ -1,6 +1,8 @@
 #include "flow/Kernels.h"
 
+#include "mir/Printer.h"
 #include "mir/transforms/MirTransforms.h"
+#include "support/StringUtils.h"
 
 #include <cassert>
 #include <cmath>
@@ -655,6 +657,75 @@ std::string availableKernelsHint() {
     out += spec.name;
   }
   return out;
+}
+
+KernelSpec makeLongTripFir(const std::string &name, int64_t trip,
+                           std::vector<double> coeffs) {
+  const int64_t taps = static_cast<int64_t>(coeffs.size());
+  KernelSpec spec;
+  spec.name = name;
+  spec.description = strfmt("generated %lld-trip %lld-tap FIR",
+                            static_cast<long long>(trip),
+                            static_cast<long long>(taps));
+  spec.bufferShapes = {{trip + taps - 1}, {trip}};
+  spec.outputs = {1};
+  spec.build = [name, trip, coeffs](MContext &ctx, const KernelConfig &cfg) {
+    OpBuilder b(ctx);
+    KernelScaffold s(ctx, name,
+                     {{trip + static_cast<int64_t>(coeffs.size()) - 1},
+                      {trip}},
+                     b);
+    mir::Value *x = s.fn.arg(0), *y = s.fn.arg(1);
+    markPartition(s.fn, cfg, 0, 0);
+    markPartition(s.fn, cfg, 1, 0);
+    ForOp loop = b.affineFor(0, trip);
+    markInner(loop, cfg);
+    b.setInsertPointToLoopBody(loop);
+    mir::Value *i = loop.inductionVar();
+    mir::Value *acc = nullptr;
+    for (size_t t = 0; t < coeffs.size(); ++t) {
+      mir::Value *term = b.binary(
+          mir::ops::MulF, b.constantFloat(coeffs[t], ctx.f64()),
+          loadShifted(b, x, {i}, {static_cast<int64_t>(t)}));
+      acc = acc ? b.binary(mir::ops::AddF, acc, term) : term;
+    }
+    storeAt(b, acc, y, {i});
+    s.finish(b);
+    return std::move(s.module);
+  };
+  spec.reference = [trip, coeffs](Buffers &buf) {
+    const std::vector<double> &x = buf[0];
+    std::vector<double> &y = buf[1];
+    for (int64_t i = 0; i < trip; ++i) {
+      double acc = coeffs[0] * x[i];
+      for (size_t t = 1; t < coeffs.size(); ++t)
+        acc = acc + coeffs[t] * x[i + static_cast<int64_t>(t)];
+      y[i] = acc;
+    }
+  };
+  return spec;
+}
+
+std::string replicatedKernelMlir(const KernelSpec &spec,
+                                 const KernelConfig &config, int copies) {
+  MContext ctx;
+  mir::OwnedModule module = spec.build(ctx, config);
+  std::string one = mir::printModule(module.get());
+  size_t open = one.find('{');
+  size_t close = one.rfind('}');
+  std::string body = one.substr(open + 1, close - open - 1);
+  std::string from = "@" + spec.name;
+  std::string text = "builtin.module {\n";
+  for (int i = 0; i < copies; ++i) {
+    std::string fn = body;
+    std::string to = strfmt("@%s_%d", spec.name.c_str(), i);
+    for (size_t pos = fn.find(from); pos != std::string::npos;
+         pos = fn.find(from, pos + to.size()))
+      fn.replace(pos, from.size(), to);
+    text += fn;
+  }
+  text += "}\n";
+  return text;
 }
 
 void seedBuffers(Buffers &buffers, uint64_t seed) {

@@ -67,6 +67,20 @@ const KernelSpec *findKernel(const std::string &name);
 /// should print so the user can correct the name without reading code.
 std::string availableKernelsHint();
 
+/// A generated single-loop FIR, y[i] = sum_t coeffs[t] * x[i + t] for i in
+/// [0, trip), under `config`'s pipeline, unroll and cyclic-partition
+/// directives (partition on both arrays). Its one innermost loop body grows
+/// linearly with the unroll factor, which makes it the probe for how
+/// synthesis cost scales with body size.
+KernelSpec makeLongTripFir(const std::string &name, int64_t trip,
+                           std::vector<double> coeffs);
+
+/// `copies` renamed copies (@<name>_0, @<name>_1, ...) of `spec`'s kernel,
+/// built under `config` and printed as one MLIR module: an inline-MLIR
+/// payload whose directives are baked into its hls.* attributes.
+std::string replicatedKernelMlir(const KernelSpec &spec,
+                                 const KernelConfig &config, int copies);
+
 /// Deterministically fills every buffer (inputs and outputs) with small
 /// pseudo-random values; call before reference/co-sim.
 void seedBuffers(Buffers &buffers, uint64_t seed = 42);

@@ -3,7 +3,8 @@
 #include "lir/Function.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace mha::lir {
 
@@ -211,35 +212,52 @@ std::optional<int64_t> solveDistance(const MemAccess &src,
   return distance;
 }
 
-unsigned positionInBlock(const Instruction *inst) {
-  unsigned pos = 0;
-  for (const auto &i : *inst->parent()) {
-    if (i.get() == inst)
-      return pos;
-    ++pos;
-  }
-  return pos;
-}
-
 } // namespace
 
 std::vector<LoopDependence>
 analyzeLoopDependences(const std::vector<MemAccess> &accesses) {
+  // Program-order position of every access in its block, from one walk per
+  // distinct block rather than one walk per compared pair.
+  std::unordered_map<const Instruction *, unsigned> position;
+  for (const MemAccess &access : accesses)
+    position.emplace(access.inst, 0);
+  std::unordered_set<const BasicBlock *> walked;
+  for (const MemAccess &access : accesses) {
+    if (!walked.insert(access.inst->parent()).second)
+      continue;
+    unsigned pos = 0;
+    for (const auto &inst : *access.inst->parent()) {
+      if (auto it = position.find(inst.get()); it != position.end())
+        it->second = pos;
+      ++pos;
+    }
+  }
+  auto inOrder = [&](const MemAccess &a, const MemAccess &b) {
+    return position[a.inst] < position[b.inst];
+  };
+
+  // Only accesses to one base can conflict, and load/load never does:
+  // visit each remaining unordered pair (i < j) once, in index order.
+  struct Peers {
+    std::vector<size_t> all, stores;
+  };
+  std::unordered_map<const Value *, Peers> byBase;
+  for (size_t i = 0; i < accesses.size(); ++i) {
+    Peers &peers = byBase[accesses[i].base];
+    peers.all.push_back(i);
+    if (accesses[i].isStore)
+      peers.stores.push_back(i);
+  }
+
   std::vector<LoopDependence> deps;
   for (size_t i = 0; i < accesses.size(); ++i) {
-    for (size_t j = 0; j < accesses.size(); ++j) {
-      if (i == j)
-        continue;
+    const Peers &peers = byBase[accesses[i].base];
+    const std::vector<size_t> &candidates =
+        accesses[i].isStore ? peers.all : peers.stores;
+    for (auto it = std::upper_bound(candidates.begin(), candidates.end(), i);
+         it != candidates.end(); ++it) {
       const MemAccess &a = accesses[i];
-      const MemAccess &b = accesses[j];
-      if (!a.isStore && !b.isStore)
-        continue; // load/load never conflicts
-      if (a.base != b.base)
-        continue;
-      // Consider each unordered pair once: handle via i<j and emit edges in
-      // both required directions below.
-      if (i > j)
-        continue;
+      const MemAccess &b = accesses[*it];
 
       bool unknown = false;
       std::optional<int64_t> d = solveDistance(a, b, unknown);
@@ -247,7 +265,7 @@ analyzeLoopDependences(const std::vector<MemAccess> &accesses) {
         // Conservative: mutual ordering plus carried distance 1.
         deps.push_back({a.inst, b.inst, 1});
         deps.push_back({b.inst, a.inst, 1});
-        if (positionInBlock(a.inst) < positionInBlock(b.inst))
+        if (inOrder(a, b))
           deps.push_back({a.inst, b.inst, 0});
         else
           deps.push_back({b.inst, a.inst, 0});
@@ -262,7 +280,7 @@ analyzeLoopDependences(const std::vector<MemAccess> &accesses) {
       if (*d == 0) {
         // Same iteration: ordering edge following program order; if the
         // address is iv-invariant the conflict also recurs every iteration.
-        if (positionInBlock(a.inst) < positionInBlock(b.inst))
+        if (inOrder(a, b))
           deps.push_back({a.inst, b.inst, 0});
         else
           deps.push_back({b.inst, a.inst, 0});

@@ -1,5 +1,6 @@
 #include "serve/Client.h"
 
+#include "flow/Kernels.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -189,6 +190,20 @@ bool Client::cancel(const std::string &targetId, bool *found) {
   if (found)
     *found = boolField(*doc, "found");
   return true;
+}
+
+Request slowBlockerRequest(const std::string &id) {
+  flow::KernelConfig config;
+  config.pipelineII = 1;
+  config.unrollFactor = 1024;
+  config.partitionFactor = 1024;
+  Request req;
+  req.id = id;
+  req.mlir = flow::replicatedKernelMlir(
+      flow::makeLongTripFir("blocker", 4096, {0.3125, 0.5625, 0.8125}),
+      config, /*copies=*/6);
+  req.top = "blocker_0"; // multi-function inline MLIR needs an explicit top
+  return req;
 }
 
 } // namespace mha::serve

@@ -78,4 +78,12 @@ private:
   std::string buffer_;
 };
 
+/// A compile request that keeps one worker busy for well over half a
+/// second (about a second on one 2020s x86 core), nearly all of it in the
+/// synth stage: an inline module of several copies of a 4096-trip FIR
+/// loop pipelined at II=1 and unrolled 1024 ways. Admission tests and the
+/// overload bench send it first, wait for its first stage event and only
+/// then queue more work, so that work meets a busy worker even on one CPU.
+Request slowBlockerRequest(const std::string &id);
+
 } // namespace mha::serve

@@ -75,6 +75,9 @@ struct Request {
   /// module defines several. Only valid together with `mlir`.
   std::string top;
   flow::FlowKind flowKind = flow::FlowKind::Adaptor;
+  /// Design knobs for a named kernel. Inline modules carry their own hls.*
+  /// attributes, so with `mlir` every knob must stay at its default (else
+  /// errc::BadRequest naming the knob).
   flow::KernelConfig config;
   /// Analytical QoR estimation instead of synthesis (DSE probe path).
   bool estimate = false;

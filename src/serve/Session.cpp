@@ -8,6 +8,8 @@
 #include "support/Diagnostics.h"
 #include "support/StringUtils.h"
 
+#include <optional>
+
 namespace mha::serve {
 
 namespace {
@@ -75,6 +77,25 @@ SessionOutcome runEstimate(const Request &req, const flow::KernelSpec &spec,
   return outcome;
 }
 
+/// The first design knob of `config` that differs from its default, as
+/// "<wire name> = <value>" (nullopt: all defaults).
+std::optional<std::string> nonDefaultKnob(const flow::KernelConfig &config) {
+  const flow::KernelConfig defaults;
+  if (config.pipelineII != defaults.pipelineII)
+    return strfmt("ii = %lld", static_cast<long long>(config.pipelineII));
+  if (config.unrollFactor != defaults.unrollFactor)
+    return strfmt("unroll = %lld",
+                  static_cast<long long>(config.unrollFactor));
+  if (config.partitionFactor != defaults.partitionFactor)
+    return strfmt("partition = %lld",
+                  static_cast<long long>(config.partitionFactor));
+  if (config.dataflow != defaults.dataflow)
+    return std::string("dataflow = true");
+  if (config.applyDirectives != defaults.applyDirectives)
+    return std::string("directives = false");
+  return std::nullopt;
+}
+
 } // namespace
 
 std::string inlineKernelName(const std::string &mlirText) {
@@ -108,6 +129,22 @@ SessionOutcome runSession(const Request &req, const SessionOptions &options,
             ? flow::runAdaptorFlow(*spec, req.config, fo)
             : flow::runHlsCppFlow(*spec, req.config, fo);
     return finishFlow(req, result, emit);
+  }
+
+  // Inline MLIR carries its directives as hls.* attributes in the module
+  // text, so the request's design knobs cannot apply. Reject a knob set
+  // away from its default instead of ignoring it; the check is on value,
+  // not presence, because clients always write every knob.
+  if (std::optional<std::string> knob = nonDefaultKnob(req.config)) {
+    SessionOutcome outcome;
+    outcome.code = errc::BadRequest;
+    emit(renderError(
+        req.id, outcome.code,
+        strfmt("knob '%s' does not apply to inline MLIR: inline modules "
+               "carry their own hls.* directive attributes; leave the "
+               "knob at its default and set the attribute in the module",
+               knob->c_str())));
+    return outcome;
   }
 
   // Inline MLIR: validate it up front in a session-private context so a

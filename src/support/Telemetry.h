@@ -224,6 +224,13 @@ public:
     return ms_;
   }
 
+  /// Attaches an argument known only once the span's work is done (e.g. an
+  /// iteration count). Dropped when tracing is off, like the span itself.
+  void addArg(std::string key, std::string value) {
+    if (!done_ && Tracer::global().enabled())
+      args_.emplace_back(std::move(key), std::move(value));
+  }
+
   /// This span's tracked id (0 when span tracking was off at
   /// construction).
   uint64_t id() const { return id_; }

@@ -8,11 +8,15 @@
 #include "lir/analysis/LoopInfo.h"
 #include "lir/transforms/LoopUnroll.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
+#include <unordered_map>
 
 namespace mha::vhls {
 
@@ -82,16 +86,54 @@ std::vector<int64_t> arrayDims(const lir::Type *type) {
   return dims;
 }
 
+/// What scheduling needs to know about one instruction, computed once per
+/// function: characterize() and the callee-latency lookup are not cheap
+/// enough to repeat for every operand in every sweep.
+struct InstCost {
+  OpInfo info;
+  int64_t latency = 0; // callee-aware result latency
+  int fuId = -1;       // dense id of a class with an allocation limit
+  unsigned pos = 0;    // position in the parent block
+  int64_t start = 0;   // scheduled start cycle
+};
+
+/// A pipelined loop body, indexed by position in the latch block.
+struct ModuloBody {
+  /// A same-block predecessor of an op: `src` must start `latency` cycles
+  /// before it, `distance` iterations earlier.
+  struct InEdge {
+    unsigned src = 0;
+    int64_t latency = 0;
+    int64_t distance = 0;
+  };
+
+  std::vector<Instruction *> ops;
+  std::vector<int64_t> latency;
+  std::vector<int> fuId;
+  /// Same-block, non-phi instruction operands, as body positions.
+  std::vector<std::vector<unsigned>> operandDefs;
+  /// Memory dependences between body ops, indexed by destination.
+  std::vector<std::vector<InEdge>> depsInto;
+  /// Memory ops: the reservation row of the bank class each one uses (-1
+  /// for other ops) and whether that bank is statically unknown.
+  std::vector<int> portRow;
+  std::vector<char> bankUnknown;
+  std::vector<const lir::Value *> rowBase; // base array of each row
+};
+
 class FunctionScheduler {
 public:
   FunctionScheduler(Function &fn, const TargetSpec &target,
-                    const std::map<std::string, FunctionReport> &callees,
-                    DiagnosticEngine &diags)
-      : fn_(fn), target_(target), callees_(callees), diags_(diags) {}
+                    const std::map<std::string, FunctionReport> &callees)
+      : fn_(fn), target_(target), callees_(callees) {}
 
   FunctionReport run() {
     report_.name = fn_.name();
-    collectArrays();
+    {
+      telemetry::Span span("vhls-arrays", "vhls");
+      collectArrays();
+    }
+    computeCosts();
 
     lir::DominatorTree domTree(fn_);
     lir::LoopInfo loopInfo(fn_, domTree);
@@ -108,8 +150,11 @@ public:
                      });
 
     // Schedule every block once (list scheduling).
-    for (BasicBlock *bb : domTree.rpo())
-      scheduleBlock(bb);
+    {
+      telemetry::Span span("vhls-blocks", "vhls");
+      for (BasicBlock *bb : domTree.rpo())
+        scheduleBlock(bb);
+    }
 
     for (lir::Loop *loop : loops)
       processLoop(loop, loopInfo);
@@ -134,7 +179,10 @@ public:
     report_.latencyCycles = latency;
     report_.fsmStates = fsmStates_;
     report_.achievedPeriodNs = achievedPeriod_;
-    bindResources(loopInfo);
+    {
+      telemetry::Span span("vhls-bind", "vhls");
+      bindResources();
+    }
     return report_;
   }
 
@@ -250,9 +298,41 @@ private:
     return out;
   }
 
-  int64_t banksOf(const lir::Value *base) {
-    auto it = arrays_.find(base);
-    return it == arrays_.end() ? 1 : std::max<int64_t>(1, it->second.partition.factor);
+  // ====================== per-instruction costs ======================
+
+  void computeCosts() {
+    // Dense ids for the FU classes that carry an allocation limit, in the
+    // limit map's (sorted) order.
+    std::map<std::string, int> fuIds;
+    for (const auto &[cls, limit] : target_.fuLimits)
+      if (limit > 0) {
+        fuIds.emplace(cls, static_cast<int>(fuLimit_.size()));
+        fuLimit_.push_back(limit);
+      }
+
+    for (BasicBlock *bb : fn_.blockPtrs()) {
+      unsigned pos = 0;
+      for (auto &inst : *bb) {
+        InstCost &cost = costs_[inst.get()];
+        cost.info = characterize(*inst);
+        cost.latency = callAwareLatency(inst.get(), cost.info);
+        if (auto it = fuIds.find(cost.info.fuClass); it != fuIds.end())
+          cost.fuId = it->second;
+        cost.pos = pos++;
+      }
+    }
+  }
+
+  int64_t callAwareLatency(const Instruction *inst, const OpInfo &info) {
+    if (inst->opcode() == Opcode::Call) {
+      const Function *callee = inst->calledFunction();
+      if (callee && !callee->isDeclaration()) {
+        auto it = callees_.find(callee->name());
+        if (it != callees_.end())
+          return std::max<int64_t>(1, it->second.latencyCycles);
+      }
+    }
+    return info.latency;
   }
 
   // ====================== straight-line scheduling ======================
@@ -262,14 +342,30 @@ private:
     double pathDelay = 0;
   };
 
+  /// Claims one unit of `table` at the first cycle >= `cycle` that has
+  /// fewer than `capacity` units in use; the table grows on demand.
+  static void reserveFirstFree(std::vector<int> &table, int capacity,
+                               int64_t &cycle) {
+    auto at = [&table](int64_t c) -> int & {
+      if (static_cast<size_t>(c) >= table.size())
+        table.resize(static_cast<size_t>(c) + 1, 0);
+      return table[static_cast<size_t>(c)];
+    };
+    while (at(cycle) >= capacity)
+      ++cycle;
+    at(cycle)++;
+  }
+
   /// List scheduling with operator chaining and per-bank port limits.
   void scheduleBlock(BasicBlock *bb) {
-    std::map<const Instruction *, SchedSlot> slots;
-    // (base, residue-key) -> cycle -> used ports
-    std::map<std::pair<const lir::Value *, int64_t>,
-             std::map<int64_t, int>>
-        ports;
-    std::map<std::string, std::map<int64_t, int>> fuUsage;
+    std::vector<SchedSlot> slots; // by position in the block
+    slots.reserve(bb->size());
+    // (base, residue-key) -> reservation row; each row counts the ports
+    // in use per cycle.
+    std::map<std::pair<const lir::Value *, int64_t>, size_t> portRows;
+    std::vector<std::vector<int>> portUse;
+    std::vector<const lir::Value *> rowBase;
+    std::vector<std::vector<int>> fuUse(fuLimit_.size());
     int64_t blockLat = 0;
     // Calls are control barriers: they start after everything before them
     // and everything after waits for them (no dataflow overlap).
@@ -278,8 +374,8 @@ private:
 
     for (auto &instPtr : *bb) {
       Instruction *inst = instPtr.get();
-      OpInfo info = characterize(*inst);
-      int64_t latency = callAwareLatency(inst, info);
+      InstCost &cost = costs_[inst];
+      const OpInfo &info = cost.info;
       SchedSlot slot;
       slot.pathDelay = info.delayNs;
       slot.start = barrierFloor;
@@ -293,26 +389,25 @@ private:
         const auto *def = dyn_cast<Instruction>(inst->operand(i));
         if (!def || def->parent() != bb || def->opcode() == Opcode::Phi)
           continue;
-        auto it = slots.find(def);
-        if (it == slots.end())
-          continue;
-        OpInfo defInfo = characterize(*def);
-        int64_t defLat = callAwareLatency(def, defInfo);
-        if (defLat == 0) {
+        const InstCost &defCost = costs_[def];
+        if (defCost.pos >= slots.size())
+          continue; // not scheduled yet
+        const SchedSlot &defSlot = slots[defCost.pos];
+        if (defCost.latency == 0) {
           // Chaining candidate: same cycle if combinational budget holds.
-          if (it->second.start > slot.start) {
-            slot.start = it->second.start;
-            slot.pathDelay = it->second.pathDelay + info.delayNs;
-          } else if (it->second.start == slot.start) {
+          if (defSlot.start > slot.start) {
+            slot.start = defSlot.start;
+            slot.pathDelay = defSlot.pathDelay + info.delayNs;
+          } else if (defSlot.start == slot.start) {
             slot.pathDelay = std::max(slot.pathDelay,
-                                      it->second.pathDelay + info.delayNs);
+                                      defSlot.pathDelay + info.delayNs);
           }
           if (slot.pathDelay > target_.clockPeriodNs) {
             slot.start += 1;
             slot.pathDelay = info.delayNs;
           }
         } else {
-          int64_t ready = it->second.start + defLat;
+          int64_t ready = defSlot.start + defCost.latency;
           if (ready > slot.start) {
             slot.start = ready;
             slot.pathDelay = info.delayNs;
@@ -325,49 +420,39 @@ private:
         BankClass bank = classify(inst, nullptr);
         auto key = std::make_pair(bank.base,
                                   bank.known ? bank.residue : int64_t(-1));
-        auto &usage = ports[key];
-        int capacity = target_.memPortsPerBank;
-        while (usage[slot.start] >= capacity)
-          ++slot.start;
-        usage[slot.start]++;
+        auto [it, added] = portRows.emplace(key, portUse.size());
+        if (added) {
+          portUse.emplace_back();
+          rowBase.push_back(bank.base);
+        }
+        size_t row = it->second;
+        reserveFirstFree(portUse[row], target_.memPortsPerBank, slot.start);
         if (!bank.known) {
           // Unknown bank blocks a port on every residue class too.
-          for (auto &[otherKey, otherUsage] : ports)
-            if (otherKey.first == bank.base && otherKey != key)
-              otherUsage[slot.start]++;
+          for (size_t other = 0; other < portUse.size(); ++other)
+            if (rowBase[other] == bank.base && other != row) {
+              std::vector<int> &use = portUse[other];
+              if (static_cast<size_t>(slot.start) >= use.size())
+                use.resize(static_cast<size_t>(slot.start) + 1, 0);
+              use[static_cast<size_t>(slot.start)]++;
+            }
         }
       }
       // Functional-unit allocation limit (Vitis `allocation` directive).
-      if (int limit = target_.fuLimitFor(info.fuClass); limit > 0) {
-        auto &usage = fuUsage[info.fuClass];
-        while (usage[slot.start] >= limit)
-          ++slot.start;
-        usage[slot.start]++;
-      }
+      if (cost.fuId >= 0)
+        reserveFirstFree(fuUse[cost.fuId], fuLimit_[cost.fuId], slot.start);
 
-      slots[inst] = slot;
+      slots.push_back(slot);
       achievedPeriod_ = std::max(achievedPeriod_, slot.pathDelay);
-      blockLat = std::max(blockLat, slot.start + latency);
-      maxEndSoFar = std::max(maxEndSoFar, slot.start + latency);
+      blockLat = std::max(blockLat, slot.start + cost.latency);
+      maxEndSoFar = std::max(maxEndSoFar, slot.start + cost.latency);
       if (isUserCall)
-        barrierFloor = slot.start + latency;
-      opStart_[inst] = slot.start;
+        barrierFloor = slot.start + cost.latency;
+      cost.start = slot.start;
     }
     // Every block costs at least one FSM state.
     blockLatency_[bb] = std::max<int64_t>(1, blockLat);
     fsmStates_ += blockLatency_[bb];
-  }
-
-  int64_t callAwareLatency(const Instruction *inst, const OpInfo &info) {
-    if (inst->opcode() == Opcode::Call) {
-      const Function *callee = inst->calledFunction();
-      if (callee && !callee->isDeclaration()) {
-        auto it = callees_.find(callee->name());
-        if (it != callees_.end())
-          return std::max<int64_t>(1, it->second.latencyCycles);
-      }
-    }
-    return info.latency;
   }
 
   // ====================== loops ======================
@@ -482,30 +567,72 @@ private:
   void moduloSchedule(lir::CanonicalLoop &loop, int64_t targetII,
                       LoopReport &lr) {
     BasicBlock *body = loop.loop->latch();
-    std::vector<Instruction *> ops;
-    for (auto &inst : *body)
-      ops.push_back(inst.get());
+    ModuloBody mb;
+    for (auto &inst : *body) {
+      const InstCost &cost = costs_[inst.get()];
+      mb.ops.push_back(inst.get());
+      mb.latency.push_back(cost.latency);
+      mb.fuId.push_back(cost.fuId);
+    }
+    size_t n = mb.ops.size();
+    auto bodyPos = [&](const lir::Value *v) -> std::optional<unsigned> {
+      const auto *inst = dyn_cast<Instruction>(v);
+      if (!inst || inst->parent() != body)
+        return std::nullopt;
+      return costs_[inst].pos;
+    };
 
     // --- dependences ---
-    std::vector<lir::MemAccess> accesses = lir::collectLoopAccesses(loop);
-    std::vector<lir::LoopDependence> deps =
-        lir::analyzeLoopDependences(accesses);
+    mb.operandDefs.resize(n);
+    mb.depsInto.resize(n);
+    {
+      telemetry::Span span("vhls-dependences", "vhls");
+      std::vector<lir::LoopDependence> deps =
+          lir::analyzeLoopDependences(lir::collectLoopAccesses(loop));
+      for (const lir::LoopDependence &dep : deps) {
+        std::optional<unsigned> src = bodyPos(dep.src);
+        std::optional<unsigned> dst = bodyPos(dep.dst);
+        if (src && dst)
+          mb.depsInto[*dst].push_back(
+              {*src, mb.latency[*src], dep.distance});
+      }
+      for (size_t p = 0; p < n; ++p)
+        for (unsigned i = 0; i < mb.ops[p]->numOperands(); ++i) {
+          const auto *def = dyn_cast<Instruction>(mb.ops[p]->operand(i));
+          if (def && def->parent() == body && def->opcode() != Opcode::Phi)
+            mb.operandDefs[p].push_back(costs_[def].pos);
+        }
+    }
 
     // --- ResMII ---
-    // Pointer-keyed, so iteration order varies run to run; that is safe
-    // here because both loops below only max-reduce into resMII. Don't
-    // let these maps leak into report ordering (arrays_ has an explicit
+    // Every body load/store gets a reservation row per distinct
+    // (base, bank-class) key. The maps are pointer-keyed, so iteration
+    // order varies run to run; that is safe because the loops below only
+    // max-reduce into resMII and row ids only name tables. Don't let
+    // these maps leak into report ordering (arrays_ has an explicit
     // `order` field for that reason).
+    mb.portRow.assign(n, -1);
+    mb.bankUnknown.assign(n, 0);
+    std::map<std::pair<const lir::Value *, int64_t>, int> rows;
     std::map<std::pair<const lir::Value *, int64_t>, int64_t> classCount;
     std::map<const lir::Value *, int64_t> unknownCount;
-    for (const lir::MemAccess &access : accesses) {
-      if (access.inst->parent() != body)
+    for (size_t p = 0; p < n; ++p) {
+      Instruction *inst = mb.ops[p];
+      if (inst->opcode() != Opcode::Load && inst->opcode() != Opcode::Store)
         continue;
-      BankClass bank = classify(access.inst, loop.indVar);
+      BankClass bank = classify(inst, loop.indVar);
+      int64_t classKey = bank.residue * 1000 + bank.ivCoef;
       if (bank.known)
-        classCount[{bank.base, bank.residue * 1000 + bank.ivCoef}]++;
+        classCount[{bank.base, classKey}]++;
       else
         unknownCount[bank.base]++;
+      auto key = std::make_pair(bank.base, bank.known ? classKey : -1);
+      auto [it, added] =
+          rows.emplace(key, static_cast<int>(mb.rowBase.size()));
+      if (added)
+        mb.rowBase.push_back(bank.base);
+      mb.portRow[p] = it->second;
+      mb.bankUnknown[p] = !bank.known;
     }
     int64_t resMII = 1;
     for (auto &[key, count] : classCount) {
@@ -513,97 +640,34 @@ private:
       resMII = std::max(resMII,
                         portLimitedMII(total, target_.memPortsPerBank));
     }
-    for (auto &[base, count] : unknownCount) {
-      int64_t banks = banksOf(base);
-      (void)banks;
+    for (auto &[base, count] : unknownCount)
       resMII = std::max(resMII,
                         portLimitedMII(count, target_.memPortsPerBank));
-    }
     // Functional-unit allocation limits contribute too.
-    if (!target_.fuLimits.empty()) {
-      std::map<std::string, int64_t> classOps;
-      for (Instruction *inst : ops) {
-        OpInfo info = characterize(*inst);
-        if (target_.fuLimitFor(info.fuClass) > 0)
-          classOps[info.fuClass]++;
-      }
-      for (auto &[cls, count] : classOps) {
-        int64_t limit = target_.fuLimitFor(cls);
-        resMII = std::max(resMII, allocationLimitedMII(count, limit));
-      }
-    }
+    std::vector<int64_t> classOps(fuLimit_.size(), 0);
+    for (int fu : mb.fuId)
+      if (fu >= 0)
+        classOps[fu]++;
+    for (size_t fu = 0; fu < classOps.size(); ++fu)
+      if (classOps[fu] > 0)
+        resMII = std::max(resMII,
+                          allocationLimitedMII(classOps[fu], fuLimit_[fu]));
     lr.resMII = resMII;
 
     // --- RecMII ---
-    // Longest intra-iteration path between ops (SSA + ordering edges),
-    // then for each carried edge s->t (distance d):
+    // Each carried edge s->t (distance d) closes a cycle through the
+    // longest same-iteration path t -> s:
     //   II*d >= lat(s) + longestPath(t -> s).
-    std::map<const Instruction *, size_t> index;
-    for (size_t i = 0; i < ops.size(); ++i)
-      index[ops[i]] = i;
-    size_t n = ops.size();
-    const int64_t kNegInf = INT64_MIN / 4;
-    std::vector<std::vector<int64_t>> longest(
-        n, std::vector<int64_t>(n, kNegInf));
-    auto latOf = [&](const Instruction *inst) {
-      OpInfo info = characterize(*inst);
-      return callAwareLatency(inst, info);
-    };
-    // Direct edges.
-    for (size_t i = 0; i < n; ++i) {
-      longest[i][i] = 0;
-      for (const lir::Use *use : ops[i]->uses()) {
-        const auto *user = dyn_cast<Instruction>(use->user());
-        if (!user || user->parent() != body)
-          continue;
-        auto it = index.find(user);
-        if (it != index.end() && it->second != i)
-          longest[i][it->second] =
-              std::max(longest[i][it->second], latOf(ops[i]));
-      }
-    }
-    for (const lir::LoopDependence &dep : deps) {
-      if (dep.distance != 0)
-        continue;
-      auto si = index.find(cast<Instruction>(dep.src));
-      auto ti = index.find(cast<Instruction>(dep.dst));
-      if (si != index.end() && ti != index.end() && si->second != ti->second)
-        longest[si->second][ti->second] = std::max(
-            longest[si->second][ti->second], latOf(ops[si->second]));
-    }
-    // Floyd-Warshall longest path (body blocks are small).
-    for (size_t k = 0; k < n; ++k)
-      for (size_t i = 0; i < n; ++i) {
-        if (longest[i][k] == kNegInf)
-          continue;
-        for (size_t j = 0; j < n; ++j)
-          if (longest[k][j] != kNegInf)
-            longest[i][j] =
-                std::max(longest[i][j], longest[i][k] + longest[k][j]);
-      }
-    int64_t recMII = 1;
-    for (const lir::LoopDependence &dep : deps) {
-      if (dep.distance <= 0)
-        continue;
-      auto si = index.find(cast<Instruction>(dep.src));
-      auto ti = index.find(cast<Instruction>(dep.dst));
-      if (si == index.end() || ti == index.end())
-        continue;
-      int64_t path = longest[ti->second][si->second];
-      if (path == kNegInf)
-        path = 0;
-      int64_t cycleLen = latOf(ops[si->second]) + path;
-      recMII = std::max(recMII, recurrenceMII(cycleLen, dep.distance));
-    }
-    lr.recMII = recMII;
+    lr.recMII = computeRecMII(mb, body);
 
     // --- iterative modulo scheduling ---
-    int64_t mii = std::max({resMII, recMII, targetII});
+    int64_t mii = std::max({resMII, lr.recMII, targetII});
     for (int64_t ii = mii; ii <= mii + 128; ++ii) {
       int64_t depth = 0;
-      if (tryModuloSchedule(ops, deps, loop, ii, depth)) {
+      if (tryModuloSchedule(mb, ii, depth)) {
         lr.achievedII = ii;
         lr.iterationLatency = depth;
+        pipelinedII_[body] = ii;
         return;
       }
     }
@@ -613,114 +677,162 @@ private:
     lr.note = "modulo scheduling failed; serialized";
   }
 
-  bool tryModuloSchedule(const std::vector<Instruction *> &ops,
-                         const std::vector<lir::LoopDependence> &deps,
-                         lir::CanonicalLoop &loop, int64_t ii,
+  /// RecMII of a loop body. The same-iteration edges (SSA uses inside the
+  /// body plus distance-0 memory ordering, which the dependence analysis
+  /// emits in program order) all point forward in the block, so program
+  /// order is a topological order: one forward relaxation per distinct
+  /// carried-dependence target gives every longest path that target needs,
+  /// and a path t -> s can only visit positions in [t, s].
+  int64_t computeRecMII(const ModuloBody &mb, const BasicBlock *body) {
+    telemetry::Span span("vhls-recmii", "vhls");
+    size_t n = mb.ops.size();
+    // Same-iteration successors, each edge weighted by its source latency.
+    std::vector<std::vector<unsigned>> succ(n);
+    for (size_t p = 0; p < n; ++p) {
+      for (const lir::Use *use : mb.ops[p]->uses()) {
+        const auto *user = dyn_cast<Instruction>(use->user());
+        if (!user || user->parent() != body)
+          continue;
+        unsigned q = costs_[user].pos;
+        if (q != p) {
+          assert(q > p && "SSA use precedes its def in a loop body");
+          succ[p].push_back(q);
+        }
+      }
+      for (const ModuloBody::InEdge &edge : mb.depsInto[p])
+        if (edge.distance == 0 && edge.src != p) {
+          assert(edge.src < p && "ordering dependence against program order");
+          succ[edge.src].push_back(static_cast<unsigned>(p));
+        }
+    }
+
+    const int64_t kNegInf = INT64_MIN / 4;
+    std::vector<int64_t> longest(n, kNegInf);
+    int64_t recMII = 1;
+    for (size_t t = 0; t < n; ++t) {
+      // The furthest carried source into t bounds the relaxation.
+      size_t last = t;
+      bool carried = false;
+      for (const ModuloBody::InEdge &edge : mb.depsInto[t])
+        if (edge.distance > 0) {
+          carried = true;
+          last = std::max<size_t>(last, edge.src);
+        }
+      if (!carried)
+        continue;
+      std::fill(longest.begin() + t, longest.begin() + last + 1, kNegInf);
+      longest[t] = 0;
+      for (size_t p = t; p < last; ++p) {
+        if (longest[p] == kNegInf)
+          continue;
+        for (unsigned q : succ[p])
+          if (q <= last)
+            longest[q] = std::max(longest[q], longest[p] + mb.latency[p]);
+      }
+      for (const ModuloBody::InEdge &edge : mb.depsInto[t]) {
+        if (edge.distance <= 0)
+          continue;
+        int64_t path = edge.src >= t && longest[edge.src] != kNegInf
+                           ? longest[edge.src]
+                           : 0;
+        recMII = std::max(recMII,
+                          recurrenceMII(edge.latency + path, edge.distance));
+      }
+    }
+    return recMII;
+  }
+
+  bool tryModuloSchedule(const ModuloBody &mb, int64_t ii,
                          int64_t &depthOut) {
-    std::map<const Instruction *, int64_t> start;
-    auto latOf = [&](const Instruction *inst) {
-      OpInfo info = characterize(*inst);
-      return callAwareLatency(inst, info);
+    telemetry::Span span("vhls-modulo-sweeps", "vhls");
+    size_t n = mb.ops.size();
+    size_t rows = mb.rowBase.size();
+    size_t slots = static_cast<size_t>(ii);
+    std::vector<int64_t> start(n, 0);
+    std::vector<char> placed(n, 0);
+    // Reservation tables (rebuilt per sweep): one row of `ii` modulo
+    // slots per bank class and per limited FU class.
+    std::vector<int> portUse(rows * slots), fuUse(fuLimit_.size() * slots);
+    std::vector<char> rowUsed(rows);
+    // Claims one unit of `row` at the first slot from `cycle` that has
+    // room, trying at most one full turn of the table.
+    auto reserve = [ii](int *row, int capacity, int64_t &cycle) {
+      int64_t tries = 0;
+      while (row[cycle % ii] >= capacity) {
+        ++cycle;
+        if (++tries > ii)
+          return false;
+      }
+      row[cycle % ii]++;
+      return true;
     };
 
-    bool changed = true;
-    int sweeps = 0;
-    while (changed) {
-      if (++sweeps > 64)
-        return false;
-      changed = false;
-      // Reservation tables rebuilt per sweep.
-      std::map<std::pair<const lir::Value *, int64_t>,
-               std::map<int64_t, int>>
-          ports;
-      std::map<std::string, std::map<int64_t, int>> fuUsage;
-      auto reserveFU = [&](const std::string &fuClass, int64_t &cycle) {
-        int limit = target_.fuLimitFor(fuClass);
-        if (limit <= 0)
-          return true;
-        auto &usage = fuUsage[fuClass];
-        int64_t tries = 0;
-        while (usage[cycle % ii] >= limit) {
-          ++cycle;
-          if (++tries > ii)
-            return false;
-        }
-        usage[cycle % ii]++;
-        return true;
-      };
-      auto reserve = [&](Instruction *inst, int64_t &cycle) {
-        BankClass bank = classify(inst, loop.indVar);
-        auto key = std::make_pair(bank.base,
-                                  bank.known ? bank.residue * 1000 + bank.ivCoef
-                                             : int64_t(-1));
-        auto &usage = ports[key];
-        int64_t tries = 0;
-        while (usage[cycle % ii] >= target_.memPortsPerBank) {
-          ++cycle;
-          if (++tries > ii)
-            return false;
-        }
-        usage[cycle % ii]++;
-        if (!bank.known)
-          for (auto &[otherKey, otherUsage] : ports)
-            if (otherKey.first == bank.base && otherKey != key)
-              otherUsage[cycle % ii]++;
-        return true;
-      };
-
-      for (Instruction *inst : ops) {
+    // One sweep places every op in program order against fresh tables.
+    // Returns false when an op finds no free slot; `changed` reports
+    // whether any start cycle moved.
+    auto sweep = [&](bool &changed) {
+      std::fill(portUse.begin(), portUse.end(), 0);
+      std::fill(fuUse.begin(), fuUse.end(), 0);
+      std::fill(rowUsed.begin(), rowUsed.end(), 0);
+      for (size_t p = 0; p < n; ++p) {
         int64_t lb = 0;
-        for (unsigned i = 0; i < inst->numOperands(); ++i) {
-          const auto *def = dyn_cast<Instruction>(inst->operand(i));
-          if (!def || def->parent() != inst->parent() ||
-              def->opcode() == Opcode::Phi)
-            continue;
-          auto it = start.find(def);
-          if (it != start.end())
-            lb = std::max(lb, it->second + std::max<int64_t>(latOf(def), 0));
-        }
-        for (const lir::LoopDependence &dep : deps) {
-          if (dep.dst != inst)
-            continue;
-          auto it = start.find(cast<Instruction>(dep.src));
-          if (it == start.end())
-            continue;
-          lb = std::max(lb, it->second + latOf(cast<Instruction>(dep.src)) -
-                                ii * dep.distance);
-        }
+        for (unsigned def : mb.operandDefs[p])
+          if (placed[def])
+            lb = std::max(lb, start[def] +
+                                  std::max<int64_t>(mb.latency[def], 0));
+        for (const ModuloBody::InEdge &edge : mb.depsInto[p])
+          if (placed[edge.src])
+            lb = std::max(lb, start[edge.src] + edge.latency -
+                                  ii * edge.distance);
         int64_t cycle = std::max(lb, int64_t(0));
-        if (inst->opcode() == Opcode::Load ||
-            inst->opcode() == Opcode::Store) {
-          if (!reserve(inst, cycle))
+        if (int row = mb.portRow[p]; row >= 0) {
+          rowUsed[row] = 1;
+          if (!reserve(&portUse[row * slots], target_.memPortsPerBank,
+                       cycle))
             return false;
+          // An unknown bank blocks a port on every bank class of its
+          // array that is already in the table.
+          if (mb.bankUnknown[p])
+            for (size_t other = 0; other < rows; ++other)
+              if (rowUsed[other] && other != static_cast<size_t>(row) &&
+                  mb.rowBase[other] == mb.rowBase[row])
+                portUse[other * slots + cycle % ii]++;
         }
-        if (!reserveFU(characterize(*inst).fuClass, cycle))
+        if (int fu = mb.fuId[p];
+            fu >= 0 && !reserve(&fuUse[fu * slots], fuLimit_[fu], cycle))
           return false;
-        auto it = start.find(inst);
-        if (it == start.end() || it->second != cycle) {
-          start[inst] = cycle;
+        if (!placed[p] || start[p] != cycle) {
+          start[p] = cycle;
+          placed[p] = 1;
           changed = true;
         }
       }
+      return true;
+    };
+
+    int sweeps = 0;
+    bool changed = true, ok = true;
+    while (ok && changed) {
+      changed = false;
+      ok = ++sweeps <= 64 && sweep(changed);
     }
+    span.addArg("ii", std::to_string(ii));
+    span.addArg("sweeps", std::to_string(sweeps));
+    if (!ok)
+      return false;
     int64_t depth = 1;
-    for (Instruction *inst : ops)
-      depth = std::max(depth, start[inst] + std::max<int64_t>(latOf(inst), 1));
+    for (size_t p = 0; p < n; ++p)
+      depth = std::max(depth, start[p] + std::max<int64_t>(mb.latency[p], 1));
     depthOut = depth;
     // Record starts for FU counting.
-    for (Instruction *inst : ops)
-      opStart_[inst] = start[inst];
-    pipelinedII_[inst2loopBody(ops)] = ii;
+    for (size_t p = 0; p < n; ++p)
+      costs_[mb.ops[p]].start = start[p];
     return true;
-  }
-
-  const BasicBlock *inst2loopBody(const std::vector<Instruction *> &ops) {
-    return ops.empty() ? nullptr : ops.front()->parent();
   }
 
   // ====================== binding ======================
 
-  void bindResources(lir::LoopInfo &loopInfo) {
+  void bindResources() {
     // FU demand per class: for pipelined bodies ceil(ops/II); for
     // straight-line code the max number of same-class ops issued in one
     // cycle. FUs are reused across regions (max, not sum).
@@ -732,14 +844,15 @@ private:
       std::map<std::string, std::map<int64_t, int64_t>> perCycle;
       std::map<std::string, int64_t> perBody;
       for (auto &inst : *bb) {
-        OpInfo info = characterize(*inst);
+        const InstCost &cost = costs_[inst.get()];
+        const OpInfo &info = cost.info;
         if (info.perUnit.dsp == 0 && info.perUnit.lut == 0)
           continue;
         fuCost[info.fuClass] = info.perUnit;
         if (pipeIt != pipelinedII_.end())
           perBody[info.fuClass]++;
         else
-          perCycle[info.fuClass][opStart_[inst.get()]]++;
+          perCycle[info.fuClass][cost.start]++;
       }
       for (auto &[cls, count] : perBody) {
         int64_t ii = pipeIt->second;
@@ -806,29 +919,27 @@ private:
           total += it->second.resources;
       }
     }
-    (void)loopInfo;
     report_.resources = total;
   }
 
   Function &fn_;
   const TargetSpec &target_;
   const std::map<std::string, FunctionReport> &callees_;
-  DiagnosticEngine &diags_;
   FunctionReport report_;
 
   std::map<const lir::Value *, ArrayInfo> arrays_;
+  std::unordered_map<const Instruction *, InstCost> costs_;
+  std::vector<int> fuLimit_; // allocation limit by dense FU-class id
   std::map<const BasicBlock *, int64_t> blockLatency_;
   std::map<const lir::Loop *, int64_t> loopTotal_;
   std::map<const lir::Loop *, LoopReport> loopReports_;
-  std::map<const Instruction *, int64_t> opStart_;
   std::map<const BasicBlock *, int64_t> pipelinedII_;
   int64_t fsmStates_ = 0;
   double achievedPeriod_ = 0;
 };
 
 /// Applies xlx.unroll directives before scheduling (backend unrolling).
-void applyUnrollDirectives(Function &fn, DiagnosticEngine &diags) {
-  (void)diags;
+void applyUnrollDirectives(Function &fn) {
   bool changed = true;
   int rounds = 0;
   while (changed && ++rounds < 8) {
@@ -888,9 +999,11 @@ SynthesisReport synthesize(lir::Module &module,
     visit(fn);
 
   for (Function *fn : order) {
-    if (options.applyUnrollDirectives)
-      applyUnrollDirectives(*fn, diags);
-    FunctionScheduler scheduler(*fn, options.target, done, diags);
+    if (options.applyUnrollDirectives) {
+      telemetry::Span span("vhls-unroll", "vhls");
+      applyUnrollDirectives(*fn);
+    }
+    FunctionScheduler scheduler(*fn, options.target, done);
     FunctionReport fnReport = scheduler.run();
     done[fn->name()] = fnReport;
     report.functions.push_back(std::move(fnReport));

@@ -65,36 +65,13 @@ std::string kernelMlirText(const std::string &kernel, int64_t unroll) {
   return mir::printModule(module.get());
 }
 
-/// An inline module that takes hundreds of milliseconds to compile: many
-/// renamed copies of conv2d with a backend unroll directive. Admission
-/// tests use it as a blocker so that "the worker is still busy when the
-/// next request lines arrive" holds even on a single-CPU machine where
-/// the CPU-bound worker can starve the reader thread for a scheduler
-/// timeslice.
+/// Renamed copies of conv2d (@conv2d_0, @conv2d_1, ...) in one inline
+/// module: a known-good multi-function payload.
 std::string replicatedKernelMlir(int copies) {
-  std::string one = kernelMlirText("conv2d", 32);
-  size_t open = one.find('{');
-  size_t close = one.rfind('}');
-  std::string body = one.substr(open + 1, close - open - 1);
-  std::string text = "builtin.module {\n";
-  for (int i = 0; i < copies; ++i) {
-    std::string fn = body;
-    std::string to = strfmt("@conv2d_%d", i);
-    for (size_t pos = fn.find("@conv2d"); pos != std::string::npos;
-         pos = fn.find("@conv2d", pos + to.size()))
-      fn.replace(pos, 7, to);
-    text += fn;
-  }
-  text += "}\n";
-  return text;
-}
-
-Request blockerRequest(int copies = 16) {
-  Request req;
-  req.id = "blocker";
-  req.mlir = replicatedKernelMlir(copies);
-  req.top = "conv2d_0"; // multi-function inline MLIR needs an explicit top
-  return req;
+  flow::KernelConfig config;
+  config.unrollFactor = 32;
+  return flow::replicatedKernelMlir(*flow::findKernel("conv2d"), config,
+                                    copies);
 }
 
 int64_t jsonInt(const std::string &line, const char *field) {
@@ -338,8 +315,8 @@ TEST(ServeServer, QueueFullReturnsTypedBusy) {
 
   Client client;
   ASSERT_TRUE(client.connect(socket));
-  ASSERT_TRUE(
-      client.sendLine(renderCompileRequest("blocker", blockerRequest())));
+  ASSERT_TRUE(client.sendLine(
+      renderCompileRequest("blocker", slowBlockerRequest("blocker"))));
   // Wait until the worker is demonstrably inside the blocker's flow (its
   // first stage event) before queueing more work: the blocker still has
   // hundreds of milliseconds to run, so both follow-up lines are admitted
@@ -388,8 +365,8 @@ TEST(ServeServer, CancelWhileQueuedNeverStartsTheFlow) {
 
   Client client;
   ASSERT_TRUE(client.connect(socket));
-  ASSERT_TRUE(
-      client.sendLine(renderCompileRequest("blocker", blockerRequest())));
+  ASSERT_TRUE(client.sendLine(
+      renderCompileRequest("blocker", slowBlockerRequest("blocker"))));
   // As in QueueFullReturnsTypedBusy: only queue the victim once the
   // long-running blocker owns the single worker, so the cancel line is
   // processed while the victim is still waiting for a worker.
@@ -462,6 +439,53 @@ TEST(ServeSession, MultiFunctionModuleWithoutTopIsAmbiguous) {
   EXPECT_NE(lines[0].find("\"conv2d_1\""), std::string::npos);
   std::string error;
   EXPECT_TRUE(json::validate(lines[0], &error)) << error << "\n" << lines[0];
+}
+
+TEST(ServeSession, InlineModuleRejectsDesignKnobsByName) {
+  // An inline module carries its own hls.* attributes, so the request's
+  // knobs cannot apply. The wire format always carries every knob, so the
+  // default values must pass and any other value must be refused.
+  std::string mlir = kernelMlirText("fir", 1);
+  auto roundTrip = [](const Request &req) {
+    ParsedRequest parsed = parseRequest(renderCompileRequest(req.id, req));
+    EXPECT_TRUE(parsed.ok) << parsed.errorMessage;
+    return parsed.request;
+  };
+  auto session = [](const Request &req, std::vector<std::string> &lines) {
+    return runSession(req, SessionOptions{}, nullptr,
+                      [&](const std::string &line) { lines.push_back(line); });
+  };
+
+  Request plain;
+  plain.id = "defaults";
+  plain.mlir = mlir;
+  std::vector<std::string> okLines;
+  EXPECT_TRUE(session(roundTrip(plain), okLines).ok);
+
+  const std::vector<std::pair<std::string, void (*)(flow::KernelConfig &)>>
+      knobs = {
+          {"ii", [](flow::KernelConfig &c) { c.pipelineII = 2; }},
+          {"unroll", [](flow::KernelConfig &c) { c.unrollFactor = 4; }},
+          {"partition", [](flow::KernelConfig &c) { c.partitionFactor = 2; }},
+          {"dataflow", [](flow::KernelConfig &c) { c.dataflow = true; }},
+          {"directives",
+           [](flow::KernelConfig &c) { c.applyDirectives = false; }},
+      };
+  for (const auto &[knob, set] : knobs) {
+    Request req = plain;
+    req.id = "knob-" + knob;
+    set(req.config);
+    std::vector<std::string> lines;
+    SessionOutcome outcome = session(roundTrip(req), lines);
+    EXPECT_FALSE(outcome.ok) << knob;
+    EXPECT_EQ(outcome.code, errc::BadRequest) << knob;
+    ASSERT_EQ(lines.size(), 1u) << knob;
+    EXPECT_NE(lines[0].find("'" + knob + " = "), std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[0].find("hls.*"), std::string::npos) << lines[0];
+    std::string error;
+    EXPECT_TRUE(json::validate(lines[0], &error)) << error;
+  }
 }
 
 TEST(ServeSession, UnknownTopIsBadRequestWithCandidates) {

@@ -138,12 +138,17 @@ TEST(Span, RecordsNestedSpansWithTimeContainment) {
 
 TEST(Span, ArgsAreRecorded) {
   TracerGuard guard(/*enable=*/true);
-  { Span span("with-args", "test", {{"kernel", "gemm"}, {"flow", "adaptor"}}); }
+  {
+    Span span("with-args", "test", {{"kernel", "gemm"}, {"flow", "adaptor"}});
+    span.addArg("sweeps", "3"); // known only when the work is done
+  }
   std::vector<TraceEvent> events = Tracer::global().events();
   ASSERT_EQ(events.size(), 1u);
-  ASSERT_EQ(events[0].args.size(), 2u);
+  ASSERT_EQ(events[0].args.size(), 3u);
   EXPECT_EQ(events[0].args[0].first, "kernel");
   EXPECT_EQ(events[0].args[0].second, "gemm");
+  EXPECT_EQ(events[0].args[2].first, "sweeps");
+  EXPECT_EQ(events[0].args[2].second, "3");
 }
 
 TEST(Tracer, InstantEventsAndReset) {
@@ -499,6 +504,21 @@ TEST(FlowTelemetry, AdaptorFlowEmitsNestedSpans) {
   ASSERT_FALSE(total->args.empty());
   EXPECT_EQ(total->args[0].first, "kernel");
   EXPECT_EQ(total->args[0].second, "fir");
+
+  // The scheduler's phases nest within the synth window; fir's inner loop
+  // is pipelined, so every phase runs.
+  for (const char *phase :
+       {"vhls-unroll", "vhls-arrays", "vhls-blocks", "vhls-dependences",
+        "vhls-recmii", "vhls-modulo-sweeps", "vhls-bind"}) {
+    const TraceEvent *event = findEvent(events, phase);
+    ASSERT_NE(event, nullptr) << phase;
+    EXPECT_EQ(event->category, "vhls");
+    EXPECT_TRUE(contains(*synth, *event)) << phase;
+  }
+  const TraceEvent *sweeps = findEvent(events, "vhls-modulo-sweeps");
+  ASSERT_EQ(sweeps->args.size(), 2u);
+  EXPECT_EQ(sweeps->args[0].first, "ii");
+  EXPECT_EQ(sweeps->args[1].first, "sweeps");
 
   // Adaptor (lir) pass spans nest within the bridge window...
   double lirPassUs = 0;

@@ -4,8 +4,12 @@
 //              [--ii=N] [--unroll=N] [--partition=N] [--dataflow]
 //              [--no-directives] [--estimate] [--id=<id>] [--quiet]
 //   mha-client --socket=<path> --mlir-file=<path> [--top=<fn>]
-//              [flow/knob flags]
+//              [--flow=adaptor|hls-cpp]
 //   mha-client --socket=<path> --ping | --shutdown
+//
+// The design knobs apply to named kernels only: an inline module carries
+// its own hls.* attributes, and the daemon answers a non-default knob
+// with a typed bad_request.
 //
 // Sends one request over the daemon's Unix-domain socket and streams
 // every response event line to stdout as it arrives (NDJSON, schema
