@@ -39,8 +39,19 @@ double exactPercentile(const std::vector<double> &sorted, double p) {
 }
 
 /// Runs one job with full error containment: any exception becomes a
-/// failed FlowResult instead of escaping into the pool.
+/// failed FlowResult instead of escaping into the pool. The flow driver
+/// closes the total window on every return; a contained exception gets
+/// the time the job ran before it threw.
 FlowResult runJobContained(const BatchJob &job) {
+  Clock::time_point start = Clock::now();
+  auto failed = [&](std::string diagnostics) {
+    FlowResult result;
+    result.kind = job.kind;
+    result.kernelName = job.spec ? job.spec->name : "<null>";
+    result.diagnostics = std::move(diagnostics);
+    result.timings.totalMs = msBetween(start, Clock::now());
+    return result;
+  };
   try {
     if (!job.spec)
       throw std::invalid_argument("batch job has no kernel spec");
@@ -48,17 +59,9 @@ FlowResult runJobContained(const BatchJob &job) {
                ? runAdaptorFlow(*job.spec, job.config, job.options)
                : runHlsCppFlow(*job.spec, job.config, job.options);
   } catch (const std::exception &e) {
-    FlowResult failed;
-    failed.kind = job.kind;
-    failed.kernelName = job.spec ? job.spec->name : "<null>";
-    failed.diagnostics = std::string("exception: ") + e.what();
-    return failed;
+    return failed(std::string("exception: ") + e.what());
   } catch (...) {
-    FlowResult failed;
-    failed.kind = job.kind;
-    failed.kernelName = job.spec ? job.spec->name : "<null>";
-    failed.diagnostics = "exception: unknown";
-    return failed;
+    return failed("exception: unknown");
   }
 }
 

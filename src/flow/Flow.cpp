@@ -6,7 +6,6 @@
 #include "interp/Interp.h"
 #include "lir/Parser.h"
 #include "lir/Printer.h"
-#include "lir/transforms/Transforms.h"
 #include "lowering/Lowering.h"
 #include "mir/Parser.h"
 #include "mir/Pass.h"
@@ -19,6 +18,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
+#include <any>
 #include <cmath>
 #include <optional>
 
@@ -26,78 +26,51 @@ namespace mha::flow {
 
 namespace {
 
-/// Args attached to every flow-level telemetry span so a Chrome trace
-/// lane can be filtered by kernel or flow kind.
-telemetry::SpanArgs flowSpanArgs(const KernelSpec &spec, FlowKind kind) {
-  return {{"kernel", spec.name}, {"flow", flowKindName(kind)}};
-}
+/// Everything one flow run threads through its stage table.
+struct FlowState {
+  FlowState(const FlowOptions &options, FlowResult &result,
+            DiagnosticEngine &diags)
+      : options(options), result(result), diags(diags) {}
 
-/// Builds the kernel and runs the shared MLIR-level preparation.
-std::optional<mir::OwnedModule> prepareMlir(const KernelSpec &spec,
-                                            const KernelConfig &config,
-                                            mir::MContext &mctx,
-                                            const FlowOptions &options,
-                                            DiagnosticEngine &diags) {
-  mir::OwnedModule module = spec.build(mctx, config);
-  if (!mir::verifyModule(module.get(), diags))
-    return std::nullopt;
-  mir::MPassManager pm;
-  if (options.runMlirOpts)
-    pm.add(mir::createCanonicalizePass());
-  if (options.unrollAtMlirLevel) {
-    // Cross-layer: consume hls.unroll here instead of in the backend.
-    module.get().op->walk([&](mir::Operation *op) {
-      if (!op->is(mir::ops::AffineFor))
-        return;
-      if (const auto *factor =
-              dyn_cast<mir::IntegerAttr>(op->attr(mir::hlsattr::Unroll))) {
-        op->setAttr("mha.unroll_now", factor);
-        op->removeAttr(mir::hlsattr::Unroll);
-      }
-    });
-    pm.add(mir::createAffineUnrollPass());
-    if (options.runMlirOpts)
-      pm.add(mir::createCanonicalizePass());
-  }
-  if (!pm.run(module.get(), diags))
-    return std::nullopt;
-  return module;
-}
+  const FlowOptions &options;
+  FlowResult &result;
+  DiagnosticEngine &diags;
+  const char *stage = ""; // the running row, for sub-stage spans
+  std::string top;        // the synthesis top (and the inliner's keeper)
+  // Kernel entries. `mirText` is printed only with the cache on; after a
+  // stage-1 hit `mir` stays empty unless a bridge miss reparses it.
+  const KernelSpec *spec = nullptr;
+  KernelConfig config;
+  mir::MContext mctx;
+  std::optional<mir::OwnedModule> mir;
+  std::string mirText;
+  const std::string *lirInput = nullptr; // the direct-LIR entry's input
+  std::string lirText; // bridge output (cache on); addresses synth
+  lir::Module *borrowed = nullptr; // synthesizeModule's caller-owned input
 
-// --- Stage-cache keys -------------------------------------------------
+  lir::Module &module() { return borrowed ? *borrowed : *result.module; }
+};
+
+// --- Stage keys ---------------------------------------------------------
 //
 // Option structs are hashed field by field (no reflection); when an
 // option that changes a stage's output gains a field, add it to the
-// matching hash* helper or the cache will serve stale entries for runs
-// that differ only in the new field.
+// matching key or the cache will serve stale entries for runs that
+// differ only in the new field.
 
-/// The shared key-compute-time histogram (same series StageCache::synthKey
-/// records into, so `mha_stage_cache_key_us` covers all four key kinds).
-metrics::Histogram &stageKeyHistogram() {
-  static metrics::Histogram &hist = metrics::Registry::global().histogram(
-      "mha_stage_cache_key_us", "stage-cache key computation time");
-  return hist;
+/// The adaptor passes need to know the synthesis top (the inliner must
+/// not erase it even when every call site is gone).
+adaptor::AdaptorOptions adaptorOptions(const FlowState &s) {
+  adaptor::AdaptorOptions ao = s.options.adaptor;
+  if (ao.topFunction.empty())
+    ao.topFunction = s.top;
+  return ao;
 }
 
-void hashConfig(HashBuilder &hb, const KernelConfig &config) {
-  hb.i64(config.pipelineII)
-      .i64(config.unrollFactor)
-      .i64(config.partitionFactor)
-      .boolean(config.dataflow)
-      .boolean(config.applyDirectives);
-}
-
-/// Stage 1 input: kernel identity + directives + MLIR-level options. The
-/// kernel name stands in for the builder function — the registry is
-/// static, so the name determines the built IR.
-uint64_t mlirStageKey(const KernelSpec &spec, const KernelConfig &config,
-                      const FlowOptions &options) {
-  metrics::Timer timer(stageKeyHistogram());
-  HashBuilder hb;
-  hb.str("mlir").str(spec.name);
-  hashConfig(hb, config);
-  hb.boolean(options.runMlirOpts).boolean(options.unrollAtMlirLevel);
-  return hb.get();
+vhls::SynthesisOptions synthOptions(const FlowState &s) {
+  vhls::SynthesisOptions so = s.options.synthesis;
+  so.topFunction = s.top;
+  return so;
 }
 
 void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
@@ -116,109 +89,406 @@ void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
       .boolean(ao.fusePasses);
 }
 
-/// Stage 2 input (adaptor flow): the mir text plus everything that shapes
-/// lowering and the adaptor pipeline. `ao` is the *effective* adaptor
-/// option set (after the flow resolves the top-function hint) — the whole
-/// post-inline module shape depends on it, so it addresses the cache.
-uint64_t adaptorBridgeKey(const std::string &mirText,
-                          const FlowOptions &options,
-                          const adaptor::AdaptorOptions &ao) {
-  metrics::Timer timer(stageKeyHistogram());
+/// Kernel identity + directives + MLIR-level options. The kernel name
+/// stands in for the builder function: the registry is static.
+uint64_t mlirKey(const FlowState &s) {
   HashBuilder hb;
-  hb.str("bridge-adaptor").str(mirText);
-  const lowering::LoweringOptions &lo = options.lowering;
+  hb.str("mlir").str(s.spec->name);
+  hb.i64(s.config.pipelineII)
+      .i64(s.config.unrollFactor)
+      .i64(s.config.partitionFactor)
+      .boolean(s.config.dataflow)
+      .boolean(s.config.applyDirectives);
+  hb.boolean(s.options.runMlirOpts).boolean(s.options.unrollAtMlirLevel);
+  return hb.get();
+}
+
+/// The mir text plus everything that shapes lowering and the adaptor
+/// pipeline, with the *effective* adaptor options.
+uint64_t adaptorBridgeKey(const FlowState &s) {
+  HashBuilder hb;
+  hb.str("bridge-adaptor").str(s.mirText);
+  const lowering::LoweringOptions &lo = s.options.lowering;
   hb.boolean(lo.useOpaquePointers)
       .boolean(lo.fuseMulAdd)
       .boolean(lo.useMemcpyIntrinsic)
       .boolean(lo.emitModernAttributes);
-  hashAdaptorOptions(hb, ao);
+  hashAdaptorOptions(hb, adaptorOptions(s));
   return hb.get();
 }
 
-/// Bridge key for the direct-LIR entry (no mir stage): the input module
-/// text plus the effective adaptor options.
-uint64_t lirBridgeKey(const std::string &lirText,
-                      const adaptor::AdaptorOptions &ao) {
-  metrics::Timer timer(stageKeyHistogram());
+uint64_t lirBridgeKey(const FlowState &s) {
   HashBuilder hb;
-  hb.str("bridge-lir").str(lirText);
-  hashAdaptorOptions(hb, ao);
+  hb.str("bridge-lir").str(*s.lirInput);
+  hashAdaptorOptions(hb, adaptorOptions(s));
   return hb.get();
 }
 
-/// The adaptor passes need to know the synthesis top (the inliner must
-/// not erase it even when every call site is gone).
-adaptor::AdaptorOptions effectiveAdaptorOptions(const FlowOptions &options,
-                                                const std::string &topName) {
-  adaptor::AdaptorOptions ao = options.adaptor;
-  if (ao.topFunction.empty())
-    ao.topFunction = options.synthesis.topFunction.empty()
-                         ? topName
-                         : options.synthesis.topFunction;
-  return ao;
+/// Emission and the HLS frontend take no options.
+uint64_t hlsCppBridgeKey(const FlowState &s) {
+  return HashBuilder().str("bridge-hlscpp").str(s.mirText).get();
 }
 
-/// Stage 2 input (C++ flow): emission and the HLS frontend take no
-/// options, so the mir text alone addresses the output.
-uint64_t hlsCppBridgeKey(const std::string &mirText) {
-  metrics::Timer timer(stageKeyHistogram());
+uint64_t synthKey(const FlowState &s) {
+  vhls::SynthesisOptions options = synthOptions(s);
   HashBuilder hb;
-  hb.str("bridge-hlscpp").str(mirText);
+  hb.str("synth").str(s.lirText);
+  const vhls::TargetSpec &t = options.target;
+  hb.f64Bits(t.clockPeriodNs).i64(t.memPortsPerBank);
+  for (const auto &[fuClass, limit] : t.fuLimits)
+    hb.str(fuClass).i64(limit);
+  hb.i64(t.deviceDsp)
+      .i64(t.deviceBram)
+      .i64(t.deviceLut)
+      .i64(t.deviceFf)
+      .i64(t.lutPerState)
+      .i64(t.ffPerState);
+  hb.str(options.topFunction)
+      .boolean(options.applyUnrollDirectives)
+      .boolean(options.strictAcceptance);
   return hb.get();
 }
 
-/// Runs stage 1 through the cache: on a hit, returns the cached mir text
-/// without building the kernel; on a miss (or with the cache disabled),
-/// builds and prepares the module, printing it into `mirText` only when
-/// the cache is on. `module` is empty after a hit — bridge stages reparse
-/// lazily, and only when they miss too.
-bool runMlirStage(const KernelSpec &spec, const KernelConfig &config,
-                  mir::MContext &mctx, const FlowOptions &options,
-                  DiagnosticEngine &diags,
-                  std::optional<mir::OwnedModule> &module,
-                  std::string &mirText) {
-  if (options.useStageCache &&
-      StageCache::global().lookupMlir(mlirStageKey(spec, config, options),
-                                      mirText))
-    return true;
-  module = prepareMlir(spec, config, mctx, options, diags);
-  if (!module)
+// --- Stage work ---------------------------------------------------------
+
+/// Runs one sub-stage of the current row under its own telemetry span and
+/// records it as a StageSpan of that row.
+template <typename Fn> bool substage(FlowState &s, const char *name, Fn &&fn) {
+  telemetry::Span span(name, "flow-substage");
+  bool ok = fn();
+  s.result.spans.push_back({s.stage, name, span.finish()});
+  return ok;
+}
+
+/// Installs the module `build` creates in a fresh LContext. Any previous
+/// module dies first: it must not outlive the context it was built in
+/// (its destructor walks context-owned constants).
+template <typename Build> bool replaceModule(FlowState &s, Build &&build) {
+  s.result.module.reset();
+  s.result.ctx = std::make_unique<lir::LContext>();
+  s.result.module = build(*s.result.ctx);
+  return s.result.module != nullptr;
+}
+
+/// Stage 1, the MLIR preparation both flows share (so Table 4's mlirOptMs
+/// windows compare like with like).
+bool runMlir(FlowState &s) {
+  mir::OwnedModule module = s.spec->build(s.mctx, s.config);
+  if (!mir::verifyModule(module.get(), s.diags))
     return false;
-  if (options.useStageCache) {
-    mirText = mir::printModule(module->get());
-    StageCache::global().storeMlir(mlirStageKey(spec, config, options),
-                                   mirText);
+  mir::MPassManager pm;
+  if (s.options.runMlirOpts)
+    pm.add(mir::createCanonicalizePass());
+  if (s.options.unrollAtMlirLevel) {
+    // Cross-layer: consume hls.unroll here instead of in the backend.
+    module.get().op->walk([&](mir::Operation *op) {
+      if (!op->is(mir::ops::AffineFor))
+        return;
+      if (const auto *factor =
+              dyn_cast<mir::IntegerAttr>(op->attr(mir::hlsattr::Unroll))) {
+        op->setAttr("mha.unroll_now", factor);
+        op->removeAttr(mir::hlsattr::Unroll);
+      }
+    });
+    pm.add(mir::createAffineUnrollPass());
+    if (s.options.runMlirOpts)
+      pm.add(mir::createCanonicalizePass());
   }
+  if (!pm.run(module.get(), s.diags))
+    return false;
+  s.mir = std::move(module);
   return true;
 }
 
-/// Reparses a cached stage-1 result when a bridge stage needs the actual
-/// module. Round-trips through the mir parser (the printer's contract).
-bool ensureMirModule(std::optional<mir::OwnedModule> &module,
-                     const std::string &mirText, mir::MContext &mctx,
-                     DiagnosticEngine &diags, FlowResult &result) {
-  if (module)
-    return true;
-  telemetry::Span parseSpan("parse-cached-mlir", "flow-substage");
-  module = mir::parseModule(mirText, mctx, diags);
-  result.spans.push_back({"bridge", "parse-cached-mlir", parseSpan.finish()});
-  return module.has_value();
+/// A bridge miss after a stage-1 hit reparses the cached mir text.
+bool ensureMir(FlowState &s) {
+  return s.mir || substage(s, "parse-cached-mlir", [&] {
+           s.mir = mir::parseModule(s.mirText, s.mctx, s.diags);
+           return s.mir.has_value();
+         });
 }
 
-/// Stage-boundary gate: notifies the progress observer and polls the
-/// cancellation flag. Returns false (after marking the result cancelled)
-/// when the caller must abandon the run instead of entering `stage`.
-bool enterStage(const char *stage, const FlowOptions &options,
-                FlowResult &result) {
-  if (options.cancelFlag &&
-      options.cancelFlag->load(std::memory_order_relaxed)) {
-    result.cancelled = true;
-    result.diagnostics = strfmt("flow cancelled before %s stage", stage);
+bool runAdaptorPipeline(FlowState &s) {
+  // A dedicated pool per call: the batch runner's pool must never run
+  // pass tasks (TaskGroup::wait does not steal — see setConcurrency).
+  std::unique_ptr<ThreadPool> passPool;
+  return substage(s, "adaptor-pipeline", [&] {
+    lir::PassManager pm(/*verifyEach=*/true);
+    adaptor::buildAdaptorPipeline(pm, adaptorOptions(s));
+    if (s.options.passJobs > 1) {
+      passPool = std::make_unique<ThreadPool>(
+          static_cast<unsigned>(s.options.passJobs));
+      pm.setConcurrency(passPool.get());
+    }
+    bool ok = pm.run(*s.result.module, s.diags);
+    s.result.adaptorStats = pm.totalStats();
+    return ok;
+  });
+}
+
+/// The paper's leg. The structured->scf conversion is flow-specific work
+/// (the C++ emitter consumes structured IR), so it is charged to bridgeMs.
+bool runAdaptorBridge(FlowState &s) {
+  return ensureMir(s) &&
+         substage(s, "affine-to-scf",
+                  [&] {
+                    mir::MPassManager convert;
+                    convert.add(mir::createAffineToScfPass());
+                    convert.add(mir::createCanonicalizePass());
+                    return convert.run(s.mir->get(), s.diags);
+                  }) &&
+         substage(s, "lower-to-lir",
+                  [&] {
+                    return replaceModule(s, [&](lir::LContext &ctx) {
+                      return lowering::lowerToLIR(s.mir->get(), ctx,
+                                                  s.options.lowering, s.diags);
+                    });
+                  }) &&
+         runAdaptorPipeline(s);
+}
+
+/// The baseline's leg: emit C++, re-parse it with the HLS frontend.
+bool runHlsCppBridge(FlowState &s) {
+  return ensureMir(s) &&
+         substage(s, "emit-hls-cpp",
+                  [&] {
+                    s.result.hlsCpp = hlscpp::emitHlsCpp(s.mir->get(), s.diags);
+                    return !s.result.hlsCpp.empty();
+                  }) &&
+         substage(s, "hls-frontend", [&] {
+           return replaceModule(s, [&](lir::LContext &ctx) {
+             return hlscpp::parseHlsCpp(s.result.hlsCpp, ctx, s.diags);
+           });
+         });
+}
+
+/// The direct-LIR leg parses its input and resolves the synthesis top
+/// before anything is hashed: the top feeds the inliner's
+/// preserved-function option, so it is part of the bridge key.
+bool prepareLirBridge(FlowState &s) {
+  if (!substage(s, "parse-lir", [&] {
+        return replaceModule(s, [&](lir::LContext &ctx) {
+          return lir::parseModule(*s.lirInput, ctx, s.diags);
+        });
+      }))
+    return false;
+  if (s.top.empty()) {
+    std::vector<lir::Function *> defs;
+    for (lir::Function *fn : s.result.module->functions())
+      if (!fn->isDeclaration())
+        defs.push_back(fn);
+    if (defs.size() != 1) {
+      s.diags.error(strfmt("lir module defines %zu functions; a top "
+                           "function must be named",
+                           defs.size()));
+      return false;
+    }
+    s.top = defs.front()->name();
+  } else if (!s.result.module->getFunction(s.top)) {
+    s.diags.error(strfmt("top function '%s' not found in lir module",
+                         s.top.c_str()));
     return false;
   }
-  if (options.onStage)
-    options.onStage(stage);
+  s.result.kernelName = s.top;
   return true;
+}
+
+// --- Cached values ------------------------------------------------------
+//
+// Each value is charged at its structural size: strings at their length,
+// structures via sizeof plus owned string/vector payloads. Approximate
+// (malloc slack and node overhead are not counted) but consistent.
+
+struct Saved {
+  std::any value;
+  int64_t bytes;
+};
+
+/// Bridge output: the HLS-ready lir text plus the leg's side outputs.
+struct BridgeOutput {
+  std::string lirText;
+  std::string hlsCpp;
+  lir::PassStats adaptorStats;
+};
+
+Saved saveBridge(FlowState &s) {
+  s.lirText = lir::printModule(*s.result.module);
+  BridgeOutput out{s.lirText, s.result.hlsCpp, s.result.adaptorStats};
+  int64_t n = static_cast<int64_t>(sizeof(out) + out.lirText.size() +
+                                   out.hlsCpp.size());
+  for (const auto &[name, value] : out.adaptorStats)
+    n += static_cast<int64_t>(name.size() + sizeof(value));
+  return {std::move(out), n};
+}
+
+/// A bridge hit replaces the whole leg with one lir parse (the module
+/// must live for synthesis and co-simulation).
+bool restoreBridge(FlowState &s, std::any &value) {
+  auto out = std::any_cast<BridgeOutput>(std::move(value));
+  if (!substage(s, "bridge-cache-restore", [&] {
+        return replaceModule(s, [&](lir::LContext &ctx) {
+          return lir::parseModule(out.lirText, ctx, s.diags);
+        });
+      }))
+    return false;
+  s.lirText = std::move(out.lirText);
+  s.result.hlsCpp = std::move(out.hlsCpp);
+  s.result.adaptorStats = std::move(out.adaptorStats);
+  return true;
+}
+
+Saved saveSynth(FlowState &s) {
+  const vhls::SynthesisReport &report = s.result.synth;
+  int64_t n = static_cast<int64_t>(sizeof(report) + report.topName.size());
+  for (const auto &[name, value] : report.compat.violations)
+    n += static_cast<int64_t>(name.size() + sizeof(value));
+  for (const vhls::FunctionReport &fn : report.functions) {
+    n += static_cast<int64_t>(sizeof(fn) + fn.name.size());
+    for (const vhls::LoopReport &loop : fn.loops)
+      n += static_cast<int64_t>(sizeof(loop) + loop.name.size() +
+                                loop.note.size());
+    for (const vhls::ArrayReport &array : fn.arrays)
+      n += static_cast<int64_t>(sizeof(array) + array.name.size() +
+                                array.partition.size());
+  }
+  return {report, n};
+}
+
+// --- The stage table and its driver -------------------------------------
+
+/// One row of the stage table: only the row's own work. The driver owns
+/// everything rows share — gating, spans, timing, caching, diagnostics.
+struct StageRow {
+  const char *name;             // "mlirOpt" | "bridge" | "synth"
+  double StageTimings::*window; // the timing window the row fills
+  const char *windowSpan;       // a StageSpan covering the window, if any
+  StageCache::Stage cacheStage;
+  bool (*prepare)(FlowState &); // optional work the key depends on
+  uint64_t (*key)(const FlowState &);
+  bool (*run)(FlowState &); // false: the stage failed
+  Saved (*save)(FlowState &);
+  bool (*restore)(FlowState &, std::any &);
+};
+
+const StageRow kMlirRow = {
+    "mlirOpt", &StageTimings::mlirOptMs, "prepare-mlir",
+    StageCache::Stage::Mlir, nullptr, mlirKey, runMlir,
+    [](FlowState &s) -> Saved {
+      s.mirText = mir::printModule(s.mir->get());
+      return {s.mirText, static_cast<int64_t>(s.mirText.size())};
+    },
+    [](FlowState &s, std::any &value) {
+      s.mirText = std::any_cast<std::string>(std::move(value));
+      return true;
+    }};
+const StageRow kAdaptorBridgeRow = {
+    "bridge", &StageTimings::bridgeMs, nullptr, StageCache::Stage::Bridge,
+    nullptr, adaptorBridgeKey, runAdaptorBridge, saveBridge, restoreBridge};
+const StageRow kHlsCppBridgeRow = {
+    "bridge", &StageTimings::bridgeMs, nullptr, StageCache::Stage::Bridge,
+    nullptr, hlsCppBridgeKey, runHlsCppBridge, saveBridge, restoreBridge};
+const StageRow kLirBridgeRow = {
+    "bridge", &StageTimings::bridgeMs, nullptr, StageCache::Stage::Bridge,
+    prepareLirBridge, lirBridgeKey, runAdaptorPipeline, saveBridge,
+    restoreBridge};
+// A synth hit leaves the module in its bridge state (backend unrolling
+// mutates in place but preserves semantics, so co-simulation holds).
+const StageRow kSynthRow = {
+    "synth", &StageTimings::synthMs, "vhls", StageCache::Stage::Synth,
+    nullptr, synthKey,
+    [](FlowState &s) {
+      s.result.synth = vhls::synthesize(s.module(), synthOptions(s), s.diags);
+      return s.result.synth.accepted;
+    },
+    saveSynth,
+    [](FlowState &s, std::any &value) {
+      s.result.synth = std::any_cast<vhls::SynthesisReport>(std::move(value));
+      return true;
+    }};
+
+/// One row through the cache: key, lookup and restore on a hit; run, then
+/// save and store on a successful miss (synth succeeds only when
+/// accepted). With the cache off a row only runs: no key, no printed IR.
+bool runStage(const StageRow &row, FlowState &s, bool &hit) {
+  if (row.prepare && !row.prepare(s))
+    return false;
+  if (!s.options.useStageCache)
+    return row.run(s);
+  static metrics::Histogram &keyUs = metrics::Registry::global().histogram(
+      "mha_stage_cache_key_us", "stage-cache key computation time");
+  uint64_t key;
+  {
+    metrics::Timer timer(keyUs);
+    key = row.key(s);
+  }
+  StageCache &cache = StageCache::global();
+  std::any cached;
+  if (cache.lookup(row.cacheStage, key, cached)) {
+    hit = true;
+    return row.restore(s, cached);
+  }
+  if (!row.run(s))
+    return false;
+  Saved saved = row.save(s);
+  cache.store(row.cacheStage, key, std::move(saved.value), saved.bytes);
+  return true;
+}
+
+/// The one flow driver. Before each row it polls the cancellation flag
+/// and notifies the progress observer; it times each row's window under
+/// a flow-stage span; its single epilogue closes the total window and
+/// renders the diagnostics on every exit.
+void runStages(FlowState &s, std::initializer_list<const StageRow *> rows,
+               std::string spanName, telemetry::SpanArgs spanArgs = {}) {
+  telemetry::Span total(std::move(spanName), "flow", std::move(spanArgs));
+  FlowResult &result = s.result;
+  bool ok = true;
+  for (const StageRow *row : rows) {
+    if (s.options.cancelFlag &&
+        s.options.cancelFlag->load(std::memory_order_relaxed)) {
+      result.cancelled = true;
+      result.diagnostics = strfmt("flow cancelled before %s stage", row->name);
+      break;
+    }
+    if (s.options.onStage)
+      s.options.onStage(row->name);
+    s.stage = row->name;
+    telemetry::Span window(row->name, "flow-stage");
+    bool hit = false;
+    ok = runStage(*row, s, hit);
+    double ms = window.finish();
+    result.timings.*row->window = ms;
+    if (row->windowSpan)
+      result.spans.push_back({row->name, row->windowSpan, ms});
+    if (row->cacheStage == StageCache::Stage::Synth)
+      result.synthFromCache = hit;
+    if (!ok)
+      break;
+  }
+  result.timings.totalMs = total.finish();
+  if (!result.cancelled)
+    result.diagnostics = s.diags.str();
+  result.ok = ok && !result.cancelled;
+}
+
+/// The kernel entries differ only in their bridge row.
+FlowResult runKernelFlow(FlowKind kind, const StageRow &bridge,
+                         const KernelSpec &spec, const KernelConfig &config,
+                         const FlowOptions &options) {
+  FlowResult result;
+  result.kind = kind;
+  result.kernelName = spec.name;
+  DiagnosticEngine diags;
+  FlowState s(options, result, diags);
+  s.spec = &spec;
+  s.config = config;
+  s.top = options.synthesis.topFunction.empty()
+              ? spec.name
+              : options.synthesis.topFunction;
+  runStages(s, {&kMlirRow, &bridge, &kSynthRow},
+            strfmt("flow:%s:%s", flowKindName(kind), spec.name.c_str()),
+            {{"kernel", spec.name}, {"flow", flowKindName(kind)}});
+  return result;
 }
 
 } // namespace
@@ -229,150 +499,14 @@ const char *flowKindName(FlowKind kind) {
 
 FlowResult runAdaptorFlow(const KernelSpec &spec, const KernelConfig &config,
                           const FlowOptions &options) {
-  FlowResult result;
-  result.kind = FlowKind::Adaptor;
-  result.kernelName = spec.name;
-  DiagnosticEngine diags;
-  telemetry::Span totalSpan(strfmt("flow:adaptor:%s", spec.name.c_str()),
-                            "flow", flowSpanArgs(spec, FlowKind::Adaptor));
-  if (!enterStage("mlirOpt", options, result))
-    return result;
+  return runKernelFlow(FlowKind::Adaptor, kAdaptorBridgeRow, spec, config,
+                       options);
+}
 
-  // MLIR level: exactly the shared preparation both flows run, so Table 4's
-  // mlirOptMs windows compare like with like. With the stage cache on, a
-  // hit serves the printed module and skips build+verify+canonicalize.
-  telemetry::Span mlirSpan("mlirOpt", "flow-stage");
-  mir::MContext mctx;
-  std::optional<mir::OwnedModule> module;
-  std::string mirText;
-  bool mlirOk = runMlirStage(spec, config, mctx, options, diags, module,
-                             mirText);
-  result.timings.mlirOptMs = mlirSpan.finish();
-  result.spans.push_back({"mlirOpt", "prepare-mlir", result.timings.mlirOptMs});
-  if (!mlirOk) {
-    result.diagnostics = diags.str();
-    return result;
-  }
-
-  // Bridge: this flow's lowering leg. The structured->scf conversion is
-  // flow-specific work (the C++ flow's emitter consumes structured IR
-  // directly), so it is charged to bridgeMs, mirroring how the C++ flow
-  // charges its emission leg. A cache hit replaces the whole leg with one
-  // lir parse (the module must live for synthesis and co-simulation).
-  if (!enterStage("bridge", options, result))
-    return result;
-  telemetry::Span bridgeSpan("bridge", "flow-stage");
-  adaptor::AdaptorOptions adaptorOpts =
-      effectiveAdaptorOptions(options, spec.name);
-  std::string lirText; // bridge output text; addresses the synth stage
-  bool bridgeFromCache = false;
-  uint64_t bridgeKey = 0;
-  if (options.useStageCache) {
-    bridgeKey = adaptorBridgeKey(mirText, options, adaptorOpts);
-    StageCache::BridgeEntry entry;
-    if (StageCache::global().lookupBridge(bridgeKey, entry)) {
-      telemetry::Span restoreSpan("bridge-cache-restore", "flow-substage");
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module = lir::parseModule(entry.lirText, *result.ctx, diags);
-      result.spans.push_back(
-          {"bridge", "bridge-cache-restore", restoreSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-      result.adaptorStats = entry.adaptorStats;
-      lirText = std::move(entry.lirText);
-      bridgeFromCache = true;
-    }
-  }
-  if (!bridgeFromCache) {
-    if (!ensureMirModule(module, mirText, mctx, diags, result)) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    {
-      telemetry::Span convertSpan("affine-to-scf", "flow-substage");
-      mir::MPassManager convert;
-      convert.add(mir::createAffineToScfPass());
-      convert.add(mir::createCanonicalizePass());
-      bool convertOk = convert.run(module->get(), diags);
-      result.spans.push_back({"bridge", "affine-to-scf", convertSpan.finish()});
-      if (!convertOk) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-    }
-    {
-      telemetry::Span lowerSpan("lower-to-lir", "flow-substage");
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module =
-          lowering::lowerToLIR(module->get(), *result.ctx, options.lowering,
-                               diags);
-      result.spans.push_back({"bridge", "lower-to-lir", lowerSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-    }
-    telemetry::Span adaptorSpan("adaptor-pipeline", "flow-substage");
-    lir::PassManager pm(/*verifyEach=*/true);
-    adaptor::buildAdaptorPipeline(pm, adaptorOpts);
-    // A dedicated pool per call: the batch runner's pool must never run
-    // pass tasks (TaskGroup::wait does not steal — see setConcurrency).
-    std::unique_ptr<ThreadPool> passPool;
-    if (options.passJobs > 1) {
-      passPool =
-          std::make_unique<ThreadPool>(static_cast<unsigned>(options.passJobs));
-      pm.setConcurrency(passPool.get());
-    }
-    bool adaptorOk = pm.run(*result.module, diags);
-    result.adaptorStats = pm.totalStats();
-    result.spans.push_back(
-        {"bridge", "adaptor-pipeline", adaptorSpan.finish()});
-    if (!adaptorOk) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    if (options.useStageCache) {
-      lirText = lir::printModule(*result.module);
-      StageCache::global().storeBridge(
-          bridgeKey, {lirText, std::string(), result.adaptorStats});
-    }
-  }
-  result.timings.bridgeMs = bridgeSpan.finish();
-
-  // Virtual HLS. On a synth cache hit the module is left in its bridge
-  // state (backend unrolling mutates in place but preserves semantics, so
-  // co-simulation is unaffected); only accepted reports are cached.
-  if (!enterStage("synth", options, result))
-    return result;
-  telemetry::Span synthSpan("synth", "flow-stage");
-  vhls::SynthesisOptions synthOpts = options.synthesis;
-  if (synthOpts.topFunction.empty())
-    synthOpts.topFunction = spec.name;
-  bool synthFromCache = false;
-  uint64_t synthKey = 0;
-  if (options.useStageCache) {
-    synthKey = StageCache::synthKey(lirText, synthOpts);
-    synthFromCache = StageCache::global().lookupSynth(synthKey, result.synth);
-  }
-  if (!synthFromCache) {
-    result.synth = vhls::synthesize(*result.module, synthOpts, diags);
-    if (options.useStageCache && result.synth.accepted)
-      StageCache::global().storeSynth(synthKey, result.synth);
-  }
-  result.synthFromCache = synthFromCache;
-  result.timings.synthMs = synthSpan.finish();
-  result.spans.push_back({"synth", "vhls", result.timings.synthMs});
-  result.timings.totalMs = totalSpan.finish();
-  result.diagnostics = diags.str();
-  result.ok = result.synth.accepted;
-  return result;
+FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
+                         const FlowOptions &options) {
+  return runKernelFlow(FlowKind::HlsCpp, kHlsCppBridgeRow, spec, config,
+                       options);
 }
 
 FlowResult runLirAdaptorFlow(const std::string &lirText,
@@ -382,239 +516,25 @@ FlowResult runLirAdaptorFlow(const std::string &lirText,
   result.kind = FlowKind::Adaptor;
   result.kernelName = topFunction;
   DiagnosticEngine diags;
-  telemetry::Span totalSpan("flow:adaptor:lir-input", "flow");
-
-  if (!enterStage("bridge", options, result))
-    return result;
-  telemetry::Span bridgeSpan("bridge", "flow-stage");
-  {
-    telemetry::Span parseSpan("parse-lir", "flow-substage");
-    result.ctx = std::make_unique<lir::LContext>();
-    result.module = lir::parseModule(lirText, *result.ctx, diags);
-    result.spans.push_back({"bridge", "parse-lir", parseSpan.finish()});
-  }
-  if (!result.module) {
-    result.timings.bridgeMs = bridgeSpan.finish();
-    result.diagnostics = diags.str();
-    return result;
-  }
-
-  // Resolve the synthesis top before hashing anything: it feeds the
-  // inliner's preserved-function option, so it is part of the bridge key.
-  std::string top = topFunction;
-  if (top.empty()) {
-    std::vector<lir::Function *> defs;
-    for (lir::Function *fn : result.module->functions())
-      if (!fn->isDeclaration())
-        defs.push_back(fn);
-    if (defs.size() != 1) {
-      diags.error(strfmt("lir module defines %zu functions; a top function "
-                         "must be named",
-                         defs.size()));
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    top = defs.front()->name();
-  } else if (!result.module->getFunction(top)) {
-    diags.error(strfmt("top function '%s' not found in lir module",
-                       top.c_str()));
-    result.timings.bridgeMs = bridgeSpan.finish();
-    result.diagnostics = diags.str();
-    return result;
-  }
-  result.kernelName = top;
-  adaptor::AdaptorOptions adaptorOpts = options.adaptor;
-  if (adaptorOpts.topFunction.empty())
-    adaptorOpts.topFunction = top;
-
-  std::string lirOut; // post-adaptor text; addresses the synth stage
-  bool bridgeFromCache = false;
-  uint64_t bridgeKey = 0;
-  if (options.useStageCache) {
-    bridgeKey = lirBridgeKey(lirText, adaptorOpts);
-    StageCache::BridgeEntry entry;
-    if (StageCache::global().lookupBridge(bridgeKey, entry)) {
-      telemetry::Span restoreSpan("bridge-cache-restore", "flow-substage");
-      // The input-parse module must die before the LContext it was built
-      // in — replacing ctx first would free the context under the live
-      // module (its destructor walks context-owned constants).
-      result.module.reset();
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module = lir::parseModule(entry.lirText, *result.ctx, diags);
-      result.spans.push_back(
-          {"bridge", "bridge-cache-restore", restoreSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-      result.adaptorStats = entry.adaptorStats;
-      lirOut = std::move(entry.lirText);
-      bridgeFromCache = true;
-    }
-  }
-  if (!bridgeFromCache) {
-    telemetry::Span adaptorSpan("adaptor-pipeline", "flow-substage");
-    lir::PassManager pm(/*verifyEach=*/true);
-    adaptor::buildAdaptorPipeline(pm, adaptorOpts);
-    std::unique_ptr<ThreadPool> passPool;
-    if (options.passJobs > 1) {
-      passPool =
-          std::make_unique<ThreadPool>(static_cast<unsigned>(options.passJobs));
-      pm.setConcurrency(passPool.get());
-    }
-    bool adaptorOk = pm.run(*result.module, diags);
-    result.adaptorStats = pm.totalStats();
-    result.spans.push_back(
-        {"bridge", "adaptor-pipeline", adaptorSpan.finish()});
-    if (!adaptorOk) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    if (options.useStageCache) {
-      lirOut = lir::printModule(*result.module);
-      StageCache::global().storeBridge(
-          bridgeKey, {lirOut, std::string(), result.adaptorStats});
-    }
-  }
-  result.timings.bridgeMs = bridgeSpan.finish();
-
-  if (!enterStage("synth", options, result))
-    return result;
-  telemetry::Span synthSpan("synth", "flow-stage");
-  vhls::SynthesisOptions synthOpts = options.synthesis;
-  synthOpts.topFunction = top;
-  bool synthFromCache = false;
-  uint64_t synthKey = 0;
-  if (options.useStageCache) {
-    synthKey = StageCache::synthKey(lirOut, synthOpts);
-    synthFromCache = StageCache::global().lookupSynth(synthKey, result.synth);
-  }
-  if (!synthFromCache) {
-    result.synth = vhls::synthesize(*result.module, synthOpts, diags);
-    if (options.useStageCache && result.synth.accepted)
-      StageCache::global().storeSynth(synthKey, result.synth);
-  }
-  result.synthFromCache = synthFromCache;
-  result.timings.synthMs = synthSpan.finish();
-  result.spans.push_back({"synth", "vhls", result.timings.synthMs});
-  result.timings.totalMs = totalSpan.finish();
-  result.diagnostics = diags.str();
-  result.ok = result.synth.accepted;
+  FlowState s(options, result, diags);
+  s.lirInput = &lirText;
+  s.top = topFunction;
+  runStages(s, {&kLirBridgeRow, &kSynthRow}, "flow:adaptor:lir-input");
   return result;
 }
 
-FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
-                         const FlowOptions &options) {
+vhls::SynthesisReport synthesizeModule(lir::Module &module,
+                                       const FlowOptions &options,
+                                       DiagnosticEngine &diags) {
   FlowResult result;
-  result.kind = FlowKind::HlsCpp;
-  result.kernelName = spec.name;
-  DiagnosticEngine diags;
-  telemetry::Span totalSpan(strfmt("flow:hls-c++:%s", spec.name.c_str()),
-                            "flow", flowSpanArgs(spec, FlowKind::HlsCpp));
-  if (!enterStage("mlirOpt", options, result))
-    return result;
-
-  telemetry::Span mlirSpan("mlirOpt", "flow-stage");
-  mir::MContext mctx;
-  std::optional<mir::OwnedModule> module;
-  std::string mirText;
-  bool mlirOk = runMlirStage(spec, config, mctx, options, diags, module,
-                             mirText);
-  result.timings.mlirOptMs = mlirSpan.finish();
-  result.spans.push_back({"mlirOpt", "prepare-mlir", result.timings.mlirOptMs});
-  if (!mlirOk) {
-    result.diagnostics = diags.str();
-    return result;
-  }
-
-  // Bridge: emit C++, re-parse with the HLS frontend. A cache hit
-  // restores both the emitted source (part of the result contract) and
-  // the frontend's lir module.
-  if (!enterStage("bridge", options, result))
-    return result;
-  telemetry::Span bridgeSpan("bridge", "flow-stage");
-  std::string lirText;
-  bool bridgeFromCache = false;
-  uint64_t bridgeKey = 0;
-  if (options.useStageCache) {
-    bridgeKey = hlsCppBridgeKey(mirText);
-    StageCache::BridgeEntry entry;
-    if (StageCache::global().lookupBridge(bridgeKey, entry)) {
-      telemetry::Span restoreSpan("bridge-cache-restore", "flow-substage");
-      result.ctx = std::make_unique<lir::LContext>();
-      result.module = lir::parseModule(entry.lirText, *result.ctx, diags);
-      result.spans.push_back(
-          {"bridge", "bridge-cache-restore", restoreSpan.finish()});
-      if (!result.module) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-      result.hlsCpp = std::move(entry.hlsCpp);
-      lirText = std::move(entry.lirText);
-      bridgeFromCache = true;
-    }
-  }
-  if (!bridgeFromCache) {
-    if (!ensureMirModule(module, mirText, mctx, diags, result)) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    {
-      telemetry::Span emitSpan("emit-hls-cpp", "flow-substage");
-      result.hlsCpp = hlscpp::emitHlsCpp(module->get(), diags);
-      result.spans.push_back({"bridge", "emit-hls-cpp", emitSpan.finish()});
-      if (result.hlsCpp.empty()) {
-        result.timings.bridgeMs = bridgeSpan.finish();
-        result.diagnostics = diags.str();
-        return result;
-      }
-    }
-    telemetry::Span frontendSpan("hls-frontend", "flow-substage");
-    result.ctx = std::make_unique<lir::LContext>();
-    result.module = hlscpp::parseHlsCpp(result.hlsCpp, *result.ctx, diags);
-    result.spans.push_back({"bridge", "hls-frontend", frontendSpan.finish()});
-    if (!result.module) {
-      result.timings.bridgeMs = bridgeSpan.finish();
-      result.diagnostics = diags.str();
-      return result;
-    }
-    if (options.useStageCache) {
-      lirText = lir::printModule(*result.module);
-      StageCache::global().storeBridge(bridgeKey,
-                                       {lirText, result.hlsCpp, {}});
-    }
-  }
-  result.timings.bridgeMs = bridgeSpan.finish();
-
-  if (!enterStage("synth", options, result))
-    return result;
-  telemetry::Span synthSpan("synth", "flow-stage");
-  vhls::SynthesisOptions synthOpts = options.synthesis;
-  if (synthOpts.topFunction.empty())
-    synthOpts.topFunction = spec.name;
-  bool synthFromCache = false;
-  uint64_t synthKey = 0;
-  if (options.useStageCache) {
-    synthKey = StageCache::synthKey(lirText, synthOpts);
-    synthFromCache = StageCache::global().lookupSynth(synthKey, result.synth);
-  }
-  if (!synthFromCache) {
-    result.synth = vhls::synthesize(*result.module, synthOpts, diags);
-    if (options.useStageCache && result.synth.accepted)
-      StageCache::global().storeSynth(synthKey, result.synth);
-  }
-  result.synthFromCache = synthFromCache;
-  result.timings.synthMs = synthSpan.finish();
-  result.spans.push_back({"synth", "vhls", result.timings.synthMs});
-  result.timings.totalMs = totalSpan.finish();
-  result.diagnostics = diags.str();
-  result.ok = result.synth.accepted;
-  return result;
+  FlowState s(options, result, diags);
+  s.borrowed = &module;
+  s.top = options.synthesis.topFunction;
+  if (options.useStageCache)
+    s.lirText = lir::printModule(module);
+  bool hit = false;
+  runStage(kSynthRow, s, hit);
+  return std::move(result.synth);
 }
 
 bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,

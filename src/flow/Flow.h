@@ -8,6 +8,12 @@
 // Both paths end in the same backend; the experiments compare their
 // post-synthesis latency/resources and their compile time, plus functional
 // equivalence through the interpreter.
+//
+// All entries run one driver over a table of three stages — mlirOpt, a
+// bridge row per path, synth (the direct-LIR entry skips mlirOpt). The
+// driver owns cancellation, progress, spans, timing windows, StageCache
+// lookups and stores and the result epilogue; an entry only picks its
+// bridge row and seeds the run's inputs.
 #pragma once
 
 #include "adaptor/Adaptor.h"
@@ -15,6 +21,7 @@
 #include "lir/Function.h"
 #include "lir/LContext.h"
 #include "lowering/Lowering.h"
+#include "support/Diagnostics.h"
 #include "vhls/Vhls.h"
 
 #include <atomic>
@@ -126,6 +133,14 @@ FlowResult runHlsCppFlow(const KernelSpec &spec, const KernelConfig &config,
 FlowResult runLirAdaptorFlow(const std::string &lirText,
                              const std::string &topFunction,
                              const FlowOptions &options = {});
+
+/// The flows' synth stage on a module the caller built and owns (the fuzz
+/// oracle's backend legs): synthesizes options.synthesis.topFunction, and
+/// with options.useStageCache shares the flows' synth cache entries (the
+/// key hashes the printed module). Only accepted reports are cached.
+vhls::SynthesisReport synthesizeModule(lir::Module &module,
+                                       const FlowOptions &options,
+                                       DiagnosticEngine &diags);
 
 /// Executes the flow's final IR against the host reference. Returns true
 /// when every output buffer matches bit-for-bit; `error` explains any

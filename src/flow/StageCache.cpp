@@ -1,9 +1,9 @@
 #include "flow/StageCache.h"
 
-#include "support/Hash.h"
 #include "support/Metrics.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -12,24 +12,30 @@ namespace mha::flow {
 
 namespace {
 
-telemetry::Statistic statMlirHit("flow.cache", "mlir.hit",
-                                 "MLIR-stage cache hits");
-telemetry::Statistic statMlirMiss("flow.cache", "mlir.miss",
-                                  "MLIR-stage cache misses");
-telemetry::Statistic statBridgeHit("flow.cache", "bridge.hit",
-                                   "bridge-stage cache hits");
-telemetry::Statistic statBridgeMiss("flow.cache", "bridge.miss",
-                                    "bridge-stage cache misses");
-telemetry::Statistic statSynthHit("flow.cache", "synth.hit",
-                                  "synthesis-stage cache hits");
-telemetry::Statistic statSynthMiss("flow.cache", "synth.miss",
-                                   "synthesis-stage cache misses");
+using Stage = StageCache::Stage;
+
+size_t slot(Stage stage) { return static_cast<size_t>(stage); }
+
+/// The stage's label in statistics and metrics.
+const char *stageName(Stage stage) {
+  static const char *const names[] = {"mlir", "bridge", "synth"};
+  return names[slot(stage)];
+}
+
+telemetry::Statistic statHit[StageCache::kNumStages] = {
+    {"flow.cache", "mlir.hit", "MLIR-stage cache hits"},
+    {"flow.cache", "bridge.hit", "bridge-stage cache hits"},
+    {"flow.cache", "synth.hit", "synthesis-stage cache hits"}};
+telemetry::Statistic statMiss[StageCache::kNumStages] = {
+    {"flow.cache", "mlir.miss", "MLIR-stage cache misses"},
+    {"flow.cache", "bridge.miss", "bridge-stage cache misses"},
+    {"flow.cache", "synth.miss", "synthesis-stage cache misses"}};
 telemetry::Statistic statEvicted("flow.cache", "evicted",
                                  "stage-cache entries evicted (LRU)");
 
 /// Per-stage entry-count backstop, independent of the byte cap: even an
-/// unlimited cache sheds its coldest entry once a stage map reaches this
-/// many entries.
+/// unlimited cache sheds a stage's coldest entry once that stage holds
+/// this many entries.
 constexpr size_t kMaxEntriesPerStage = 4096;
 
 /// Per-stage metrics-registry handles (hit/miss/eviction counters gated
@@ -40,182 +46,68 @@ struct StageMetrics {
   metrics::Counter &misses;
   metrics::Counter &evictions;
   metrics::Gauge &bytes;
+};
 
-  static StageMetrics make(const char *stage) {
+StageMetrics &stageMetrics(Stage stage) {
+  static std::array<StageMetrics, StageCache::kNumStages> all = [] {
     metrics::Registry &reg = metrics::Registry::global();
-    metrics::Labels labels = {{"stage", stage}};
-    return StageMetrics{
-        reg.counter("mha_stage_cache_hits_total", "stage-cache lookup hits",
-                    labels),
-        reg.counter("mha_stage_cache_misses_total",
-                    "stage-cache lookup misses", labels),
-        reg.counter("mha_stage_cache_evictions_total",
-                    "stage-cache entries evicted (LRU)", labels),
-        reg.gauge("mha_stage_cache_bytes",
-                  "payload bytes resident in the stage map", labels)};
-  }
-
-  static StageMetrics &mlir() {
-    static StageMetrics m = make("mlir");
-    return m;
-  }
-  static StageMetrics &bridge() {
-    static StageMetrics m = make("bridge");
-    return m;
-  }
-  static StageMetrics &synth() {
-    static StageMetrics m = make("synth");
-    return m;
-  }
-};
-
-/// Structural payload size of a cached value: strings at their length,
-/// report structures via sizeof plus owned string/vector payloads. An
-/// approximation (malloc slack and map-node overhead are not counted) but
-/// a consistent one: store/evict adjustments always agree.
-int64_t entryBytes(const std::string &text) {
-  return static_cast<int64_t>(text.size());
+    auto make = [&](Stage s) {
+      metrics::Labels labels = {{"stage", stageName(s)}};
+      return StageMetrics{
+          reg.counter("mha_stage_cache_hits_total", "stage-cache lookup hits",
+                      labels),
+          reg.counter("mha_stage_cache_misses_total",
+                      "stage-cache lookup misses", labels),
+          reg.counter("mha_stage_cache_evictions_total",
+                      "stage-cache entries evicted (LRU)", labels),
+          reg.gauge("mha_stage_cache_bytes",
+                    "payload bytes resident in the stage map", labels)};
+    };
+    return std::array<StageMetrics, StageCache::kNumStages>{
+        make(Stage::Mlir), make(Stage::Bridge), make(Stage::Synth)};
+  }();
+  return all[slot(stage)];
 }
-
-int64_t entryBytes(const StageCache::BridgeEntry &entry) {
-  int64_t n = static_cast<int64_t>(sizeof(entry) + entry.lirText.size() +
-                                   entry.hlsCpp.size());
-  for (const auto &[name, value] : entry.adaptorStats)
-    n += static_cast<int64_t>(name.size() + sizeof(value));
-  return n;
-}
-
-int64_t entryBytes(const vhls::SynthesisReport &report) {
-  int64_t n = static_cast<int64_t>(sizeof(report) + report.topName.size());
-  for (const auto &[name, value] : report.compat.violations)
-    n += static_cast<int64_t>(name.size() + sizeof(value));
-  for (const vhls::FunctionReport &fn : report.functions) {
-    n += static_cast<int64_t>(sizeof(fn) + fn.name.size());
-    for (const vhls::LoopReport &loop : fn.loops)
-      n += static_cast<int64_t>(sizeof(loop) + loop.name.size() +
-                                loop.note.size());
-    for (const vhls::ArrayReport &array : fn.arrays)
-      n += static_cast<int64_t>(sizeof(array) + array.name.size() +
-                                array.partition.size());
-  }
-  return n;
-}
-
-/// LRU bookkeeping per stage map. The recency list holds (key, seq)
-/// pairs, most-recent at the front; `seq` is a cache-wide monotonic touch
-/// counter, so the backs of the three stage lists can be compared to find
-/// the globally coldest entry when the byte cap needs space.
-using LruList = std::list<std::pair<uint64_t, uint64_t>>;
-
-template <typename Value>
-struct StageMap {
-  struct Node {
-    Value value;
-    LruList::iterator lru;
-  };
-  std::unordered_map<uint64_t, Node> map;
-  LruList lru;
-
-  /// `seq` of the least-recently-used entry (the eviction candidate);
-  /// UINT64_MAX when the map is empty so it never wins the coldest race.
-  uint64_t coldestSeq() const {
-    return lru.empty() ? UINT64_MAX : lru.back().second;
-  }
-};
 
 } // namespace
 
 struct StageCache::Impl {
+  struct Entry {
+    Stage stage;
+    uint64_t key;
+    std::any value;
+    int64_t bytes;
+  };
+  /// One recency order over every stage: most recently used at the front.
+  using Lru = std::list<Entry>;
+
   mutable std::mutex mutex;
-  StageMap<std::string> mlir;
-  StageMap<BridgeEntry> bridge;
-  StageMap<vhls::SynthesisReport> synth;
+  Lru lru;
+  std::array<std::unordered_map<uint64_t, Lru::iterator>, kNumStages> index;
   Counters counters;
   int64_t limitBytes = 0; // 0 = unbounded
-  uint64_t nextSeq = 0;
 
-  /// Drops the LRU entry of `stage`, keeping its byte total, eviction
-  /// counters and resident-bytes gauge in step.
-  template <typename Value>
-  void evictColdest(StageMap<Value> &stage, StageMetrics &sm,
-                    int64_t &byteTotal, int64_t &evictedCount) {
-    auto it = stage.map.find(stage.lru.back().first);
-    byteTotal -= entryBytes(it->second.value);
-    stage.map.erase(it);
-    stage.lru.pop_back();
-    ++evictedCount;
-    ++sm.evictions;
-    ++statEvicted;
-    sm.bytes.set(byteTotal);
+  /// Drops `it`, keeping the byte totals and the resident-bytes gauge in
+  /// step; `evicted` also counts it as an LRU eviction.
+  void erase(Lru::iterator it, bool evicted) {
+    StageCounters &c = counters[it->stage];
+    StageMetrics &sm = stageMetrics(it->stage);
+    c.bytes -= it->bytes;
+    sm.bytes.set(c.bytes);
+    if (evicted) {
+      ++c.evictions;
+      ++sm.evictions;
+      ++statEvicted;
+    }
+    index[slot(it->stage)].erase(it->key);
+    lru.erase(it);
   }
 
-  /// Evicts globally-coldest entries (across all three stages) until the
-  /// total payload fits the byte cap again.
+  /// Evicts globally-coldest entries until the total payload fits the
+  /// byte cap again.
   void enforceLimit() {
-    if (limitBytes <= 0)
-      return;
-    while (counters.bytes() > limitBytes) {
-      uint64_t mlirSeq = mlir.coldestSeq();
-      uint64_t bridgeSeq = bridge.coldestSeq();
-      uint64_t synthSeq = synth.coldestSeq();
-      if (mlirSeq == UINT64_MAX && bridgeSeq == UINT64_MAX &&
-          synthSeq == UINT64_MAX)
-        return; // all maps empty (cannot happen while bytes() > 0)
-      if (mlirSeq <= bridgeSeq && mlirSeq <= synthSeq)
-        evictColdest(mlir, StageMetrics::mlir(), counters.mlirBytes,
-                     counters.mlirEvictions);
-      else if (bridgeSeq <= synthSeq)
-        evictColdest(bridge, StageMetrics::bridge(), counters.bridgeBytes,
-                     counters.bridgeEvictions);
-      else
-        evictColdest(synth, StageMetrics::synth(), counters.synthBytes,
-                     counters.synthEvictions);
-    }
-  }
-
-  template <typename Value>
-  bool lookup(StageMap<Value> &stage, uint64_t key, Value &out,
-              telemetry::Statistic &hit, telemetry::Statistic &miss,
-              StageMetrics &sm, int64_t &hitCount, int64_t &missCount) {
-    std::lock_guard<std::mutex> guard(mutex);
-    auto it = stage.map.find(key);
-    if (it == stage.map.end()) {
-      ++miss;
-      ++missCount;
-      ++sm.misses;
-      return false;
-    }
-    // Refresh recency: a hit entry moves to the front with a fresh seq.
-    stage.lru.erase(it->second.lru);
-    stage.lru.emplace_front(key, nextSeq++);
-    it->second.lru = stage.lru.begin();
-    out = it->second.value;
-    ++hit;
-    ++hitCount;
-    ++sm.hits;
-    return true;
-  }
-
-  template <typename Value>
-  void store(StageMap<Value> &stage, uint64_t key, Value value,
-             StageMetrics &sm, int64_t &byteTotal, int64_t &evictedCount) {
-    std::lock_guard<std::mutex> guard(mutex);
-    if (stage.map.size() >= kMaxEntriesPerStage &&
-        stage.map.find(key) == stage.map.end())
-      evictColdest(stage, sm, byteTotal, evictedCount);
-    auto it = stage.map.find(key);
-    if (it != stage.map.end()) {
-      byteTotal -= entryBytes(it->second.value);
-      stage.lru.erase(it->second.lru);
-      stage.map.erase(it);
-    }
-    byteTotal += entryBytes(value);
-    stage.lru.emplace_front(key, nextSeq++);
-    stage.map.emplace(key,
-                      typename StageMap<Value>::Node{std::move(value),
-                                                     stage.lru.begin()});
-    sm.bytes.set(byteTotal);
-    enforceLimit();
+    while (limitBytes > 0 && counters.bytes() > limitBytes && !lru.empty())
+      erase(std::prev(lru.end()), /*evicted=*/true);
   }
 };
 
@@ -229,66 +121,48 @@ StageCache &StageCache::global() {
   return instance;
 }
 
-uint64_t StageCache::synthKey(const std::string &lirText,
-                              const vhls::SynthesisOptions &options) {
-  static metrics::Histogram &keyUs = metrics::Registry::global().histogram(
-      "mha_stage_cache_key_us", "stage-cache key computation time");
-  metrics::Timer timer(keyUs);
-  HashBuilder hb;
-  hb.str("synth").str(lirText);
-  const vhls::TargetSpec &t = options.target;
-  hb.f64Bits(t.clockPeriodNs).i64(t.memPortsPerBank);
-  for (const auto &[fuClass, limit] : t.fuLimits)
-    hb.str(fuClass).i64(limit);
-  hb.i64(t.deviceDsp)
-      .i64(t.deviceBram)
-      .i64(t.deviceLut)
-      .i64(t.deviceFf)
-      .i64(t.lutPerState)
-      .i64(t.ffPerState);
-  hb.str(options.topFunction)
-      .boolean(options.applyUnrollDirectives)
-      .boolean(options.strictAcceptance);
-  return hb.get();
+bool StageCache::lookup(Stage stage, uint64_t key, std::any &value) {
+  Impl &i = impl();
+  std::lock_guard<std::mutex> guard(i.mutex);
+  StageCounters &c = i.counters[stage];
+  StageMetrics &sm = stageMetrics(stage);
+  auto &index = i.index[slot(stage)];
+  auto it = index.find(key);
+  if (it == index.end()) {
+    ++statMiss[slot(stage)];
+    ++c.misses;
+    ++sm.misses;
+    return false;
+  }
+  i.lru.splice(i.lru.begin(), i.lru, it->second); // refresh recency
+  value = it->second->value;
+  ++statHit[slot(stage)];
+  ++c.hits;
+  ++sm.hits;
+  return true;
 }
 
-bool StageCache::lookupMlir(uint64_t key, std::string &mirText) {
+void StageCache::store(Stage stage, uint64_t key, std::any value,
+                       int64_t bytes) {
   Impl &i = impl();
-  return i.lookup(i.mlir, key, mirText, statMlirHit, statMlirMiss,
-                  StageMetrics::mlir(), i.counters.mlirHits,
-                  i.counters.mlirMisses);
-}
-
-void StageCache::storeMlir(uint64_t key, std::string mirText) {
-  Impl &i = impl();
-  i.store(i.mlir, key, std::move(mirText), StageMetrics::mlir(),
-          i.counters.mlirBytes, i.counters.mlirEvictions);
-}
-
-bool StageCache::lookupBridge(uint64_t key, BridgeEntry &entry) {
-  Impl &i = impl();
-  return i.lookup(i.bridge, key, entry, statBridgeHit, statBridgeMiss,
-                  StageMetrics::bridge(), i.counters.bridgeHits,
-                  i.counters.bridgeMisses);
-}
-
-void StageCache::storeBridge(uint64_t key, BridgeEntry entry) {
-  Impl &i = impl();
-  i.store(i.bridge, key, std::move(entry), StageMetrics::bridge(),
-          i.counters.bridgeBytes, i.counters.bridgeEvictions);
-}
-
-bool StageCache::lookupSynth(uint64_t key, vhls::SynthesisReport &report) {
-  Impl &i = impl();
-  return i.lookup(i.synth, key, report, statSynthHit, statSynthMiss,
-                  StageMetrics::synth(), i.counters.synthHits,
-                  i.counters.synthMisses);
-}
-
-void StageCache::storeSynth(uint64_t key, vhls::SynthesisReport report) {
-  Impl &i = impl();
-  i.store(i.synth, key, std::move(report), StageMetrics::synth(),
-          i.counters.synthBytes, i.counters.synthEvictions);
+  std::lock_guard<std::mutex> guard(i.mutex);
+  auto &index = i.index[slot(stage)];
+  auto it = index.find(key);
+  if (it != index.end()) {
+    i.erase(it->second, /*evicted=*/false);
+  } else if (index.size() >= kMaxEntriesPerStage) {
+    // Backstop: the stage's coldest entry, searched from the cold end.
+    auto coldest = std::find_if(
+        i.lru.rbegin(), i.lru.rend(),
+        [&](const Impl::Entry &e) { return e.stage == stage; });
+    i.erase(std::prev(coldest.base()), /*evicted=*/true);
+  }
+  i.lru.push_front({stage, key, std::move(value), bytes});
+  index.emplace(key, i.lru.begin());
+  StageCounters &c = i.counters[stage];
+  c.bytes += bytes;
+  stageMetrics(stage).bytes.set(c.bytes);
+  i.enforceLimit();
 }
 
 void StageCache::setLimitBytes(int64_t limitBytes) {
@@ -313,22 +187,18 @@ StageCache::Counters StageCache::counters() const {
 void StageCache::clear() {
   Impl &i = impl();
   std::lock_guard<std::mutex> guard(i.mutex);
-  i.mlir.map.clear();
-  i.mlir.lru.clear();
-  i.bridge.map.clear();
-  i.bridge.lru.clear();
-  i.synth.map.clear();
-  i.synth.lru.clear();
+  i.lru.clear();
+  for (auto &index : i.index)
+    index.clear();
   i.counters = Counters();
-  StageMetrics::mlir().bytes.set(0);
-  StageMetrics::bridge().bytes.set(0);
-  StageMetrics::synth().bytes.set(0);
+  for (Stage stage : {Stage::Mlir, Stage::Bridge, Stage::Synth})
+    stageMetrics(stage).bytes.set(0);
 }
 
 size_t StageCache::size() const {
   Impl &i = impl();
   std::lock_guard<std::mutex> guard(i.mutex);
-  return i.mlir.map.size() + i.bridge.map.size() + i.synth.map.size();
+  return i.lru.size();
 }
 
 } // namespace mha::flow

@@ -1,19 +1,15 @@
 // StageCache.h - content-addressed incremental-recompilation cache.
 //
-// Each flow stage hashes its *input* (the printed IR it consumes plus the
-// options that shape it) into a 64-bit key and looks up the stage's
-// *output* before doing any work. Keys are content-addressed, so the
-// cache composes transitively: an edit to one kernel invalidates exactly
-// that kernel's chain from the edited stage downward, and two kernels
-// that lower to identical IR share the downstream entries.
-//
-// Three stage kinds are cached:
-//   mlir    key = H(kernel, config, MLIR-level options)
-//           value = printed mir module after the shared MLIR preparation
-//   bridge  key = H(mir text, bridge options)   [per flow kind]
-//           value = printed lir module (+ adaptor stats / emitted C++)
-//   synth   key = H(lir text, synthesis options)
-//           value = the SynthesisReport
+// The flow driver (Flow.cpp) runs every flow as one table of stages
+// (mlir, bridge, synth). Each row hashes its *input* — the printed IR it
+// consumes plus the options that shape it — into a 64-bit key; the driver
+// looks the key up before running the row and stores the row's output
+// after a successful run. Keys are content-addressed, so an edit to one
+// kernel invalidates exactly its chain from the edited stage downward,
+// and kernels that lower to identical IR share the downstream entries.
+// The cache is value-agnostic: a row stores a typed value (the printed
+// mir module; the lir module plus adaptor stats or emitted C++; the
+// SynthesisReport) and states the entry's structural byte size.
 //
 // The cache is process-global and thread-safe: BatchRunner jobs, the DSE
 // evaluator, the fuzz oracle and mha-serve sessions all share it through
@@ -21,100 +17,91 @@
 // output are bit-identical with the flag off). Only successful stage runs
 // are stored; failures always re-execute so diagnostics are regenerated.
 //
-// Residency is bounded two ways: a per-stage entry-count backstop and an
-// optional process-wide byte cap (setLimitBytes, `--stage-cache-limit` on
-// mha-serve). Both evict least-recently-used entries — every lookup hit
-// and store refreshes its entry's recency, and the byte cap always evicts
-// the globally coldest entry across the three stage maps, so a resident
-// daemon serving millions of requests converges on its hot working set
-// instead of growing without bound.
-//
-// Hit/miss/eviction counts land in the "flow.cache" statistic group
-// (--stats) and are also readable structurally via counters() for tests.
+// All entries live in one LRU keyed by (stage, key), bounded by a
+// per-stage entry-count backstop and an optional process-wide byte cap
+// (setLimitBytes, `--stage-cache-limit` on mha-serve). Hits and stores
+// refresh recency and the cap evicts the globally coldest entry, so a
+// resident daemon converges on its hot working set. Hit/miss/eviction
+// counts land in the "flow.cache" statistic group (--stats) and in
+// counters().
 #pragma once
 
-#include "lir/PassManager.h"
-#include "vhls/Vhls.h"
-
+#include <any>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace mha::flow {
 
 class StageCache {
 public:
+  /// The cached stages, in flow order.
+  enum class Stage { Mlir, Bridge, Synth };
+  static constexpr size_t kNumStages = 3;
+
   /// The shared process-wide instance every flow uses.
   static StageCache &global();
 
-  /// Bridge-stage output: the flow-specific leg from mir text to HLS-ready
-  /// lir text. The adaptor flow fills `adaptorStats`; the C++ flow fills
-  /// `hlsCpp` (the emitted source, part of its FlowResult contract).
-  struct BridgeEntry {
-    std::string lirText;
-    std::string hlsCpp;
-    lir::PassStats adaptorStats;
+  /// One stage's lookups and residency. `bytes` counts the payloads
+  /// currently resident, at the sizes their rows stated when storing.
+  struct StageCounters {
+    int64_t hits = 0, misses = 0, bytes = 0, evictions = 0;
   };
 
-  /// Structural hit/miss/bytes snapshot (mirrors the "flow.cache"
-  /// statistics and the mha_stage_cache_* metrics). Byte totals count the
-  /// payloads currently resident per stage map: strings at their length,
-  /// report structures at their structural size (fixed fields via sizeof
-  /// plus owned string/vector payloads).
+  /// Structural snapshot, per stage and in total (mirrors the
+  /// "flow.cache" statistics and the mha_stage_cache_* metrics).
   struct Counters {
-    int64_t mlirHits = 0, mlirMisses = 0;
-    int64_t bridgeHits = 0, bridgeMisses = 0;
-    int64_t synthHits = 0, synthMisses = 0;
-    int64_t mlirBytes = 0, bridgeBytes = 0, synthBytes = 0;
-    int64_t mlirEvictions = 0, bridgeEvictions = 0, synthEvictions = 0;
-    int64_t hits() const { return mlirHits + bridgeHits + synthHits; }
-    int64_t misses() const { return mlirMisses + bridgeMisses + synthMisses; }
-    int64_t bytes() const { return mlirBytes + bridgeBytes + synthBytes; }
-    int64_t evictions() const {
-      return mlirEvictions + bridgeEvictions + synthEvictions;
+    std::array<StageCounters, kNumStages> stages;
+
+    StageCounters &operator[](Stage stage) {
+      return stages[static_cast<size_t>(stage)];
     }
+    const StageCounters &operator[](Stage stage) const {
+      return stages[static_cast<size_t>(stage)];
+    }
+    int64_t hits() const { return sum(&StageCounters::hits); }
+    int64_t misses() const { return sum(&StageCounters::misses); }
+    int64_t bytes() const { return sum(&StageCounters::bytes); }
+    int64_t evictions() const { return sum(&StageCounters::evictions); }
     /// hits / (hits + misses), 0 when no lookups happened.
     double hitRate() const {
       int64_t total = hits() + misses();
       return total ? double(hits()) / double(total) : 0.0;
     }
+
+  private:
+    int64_t sum(int64_t StageCounters::*field) const {
+      int64_t total = 0;
+      for (const StageCounters &stage : stages)
+        total += stage.*field;
+      return total;
+    }
   };
 
-  bool lookupMlir(uint64_t key, std::string &mirText);
-  void storeMlir(uint64_t key, std::string mirText);
+  /// On a hit, copies `stage`'s entry for `key` into `value` and makes it
+  /// the most recently used.
+  bool lookup(Stage stage, uint64_t key, std::any &value);
 
-  bool lookupBridge(uint64_t key, BridgeEntry &entry);
-  void storeBridge(uint64_t key, BridgeEntry entry);
+  /// Stores (or replaces) `stage`'s entry for `key`, charged at `bytes`
+  /// against the byte cap.
+  void store(Stage stage, uint64_t key, std::any value, int64_t bytes);
 
-  bool lookupSynth(uint64_t key, vhls::SynthesisReport &report);
-  void storeSynth(uint64_t key, vhls::SynthesisReport report);
-
-  /// Synth-stage key: the printed pre-synthesis lir module plus every
-  /// synthesis option (field by field — extend when SynthesisOptions
-  /// grows). Shared so the flows and the fuzz oracle address the same
-  /// entries for identical modules.
-  static uint64_t synthKey(const std::string &lirText,
-                           const vhls::SynthesisOptions &options);
-
-  /// Caps total resident payload bytes across the three stage maps
-  /// (0 = unbounded, the default). When a store pushes the total past the
-  /// cap, least-recently-used entries are evicted — globally, coldest
-  /// first, regardless of stage — until the total fits again. An entry
-  /// larger than the whole cap is evicted immediately after landing, so
-  /// the resident-bytes gauges never exceed the cap after any store.
+  /// Caps total resident payload bytes across all stages (0 = unbounded,
+  /// the default). When a store pushes the total past the cap,
+  /// least-recently-used entries are evicted — globally, coldest first,
+  /// regardless of stage — until the total fits again. An entry larger
+  /// than the whole cap is evicted immediately after landing, so the
+  /// resident-bytes gauges never exceed the cap after any store.
   void setLimitBytes(int64_t limitBytes);
   int64_t limitBytes() const;
 
   Counters counters() const;
 
-  /// The observability-layer name for counters(): one consistent snapshot
-  /// of hits, misses, resident bytes and hitRate().
-  Counters stats() const { return counters(); }
-
   /// Drops every entry and zeroes the structural counters (tests; the
   /// "flow.cache" statistics follow the global telemetry reset instead).
   void clear();
 
-  /// Total cached entries across all three stage maps.
+  /// Total cached entries across all stages.
   size_t size() const;
 
 private:

@@ -4,17 +4,18 @@
 // stage sequence instead of calling runAdaptorFlow/runHlsCppFlow: the flow
 // drivers only retain the final module, while the oracle must co-simulate
 // every intermediate stage to attribute a divergence to the stage that
-// introduced it (lowering vs adaptor vs C++ round-trip).
+// introduced it (lowering vs adaptor vs C++ round-trip). The backend
+// legs, which need no intermediate module, call the flows' own synth stage
+// (flow::synthesizeModule).
 #include "fuzz/Oracle.h"
 
 #include "adaptor/Adaptor.h"
-#include "flow/StageCache.h"
+#include "flow/Flow.h"
 #include "hlscpp/Emitter.h"
 #include "hlscpp/Frontend.h"
 #include "interp/Interp.h"
 #include "lir/LContext.h"
 #include "lir/Parser.h"
-#include "lir/Printer.h"
 #include "lir/PassManager.h"
 #include "lir/Verifier.h"
 #include "lir/transforms/Transforms.h"
@@ -23,7 +24,6 @@
 #include "mir/Verifier.h"
 #include "mir/transforms/MirTransforms.h"
 #include "support/StringUtils.h"
-#include "vhls/Vhls.h"
 
 #include <cmath>
 
@@ -93,6 +93,23 @@ std::optional<OracleResult> compareStage(lir::Module &module,
     }
   }
   return std::nullopt;
+}
+
+/// The backend leg (when enabled): the flows' synth stage, sharing their
+/// StageCache entries when asked, must accept `module`.
+std::optional<OracleResult> checkSynthesis(lir::Module &module,
+                                           const std::string &top,
+                                           const OracleOptions &options,
+                                           DiagnosticEngine &diags) {
+  if (!options.runVhls)
+    return std::nullopt;
+  flow::FlowOptions flowOptions;
+  flowOptions.synthesis.topFunction = top;
+  flowOptions.useStageCache = options.useStageCache;
+  if (flow::synthesizeModule(module, flowOptions, diags).accepted)
+    return std::nullopt;
+  return fail(FailureKind::FlowError, "vhls",
+              "synthesis rejected: " + diags.str());
 }
 
 } // namespace
@@ -174,26 +191,8 @@ OracleResult checkKernel(const Program &program,
   // This leg is a pure function of the module + options, so it can share
   // the flow stage cache (generated programs often collapse to identical
   // post-adaptor IR).
-  if (options.runVhls) {
-    vhls::SynthesisOptions synthOpts;
-    synthOpts.topFunction = spec.name;
-    uint64_t synthKey = 0;
-    vhls::SynthesisReport report;
-    bool cached = false;
-    if (options.useStageCache) {
-      synthKey =
-          flow::StageCache::synthKey(lir::printModule(*lowered), synthOpts);
-      cached = flow::StageCache::global().lookupSynth(synthKey, report);
-    }
-    if (!cached) {
-      report = vhls::synthesize(*lowered, synthOpts, diags);
-      if (options.useStageCache && report.accepted)
-        flow::StageCache::global().storeSynth(synthKey, report);
-    }
-    if (!report.accepted)
-      return fail(FailureKind::FlowError, "vhls",
-                  "synthesis rejected: " + diags.str());
-  }
+  if (auto failure = checkSynthesis(*lowered, spec.name, options, diags))
+    return *failure;
   return OracleResult{};
 }
 
@@ -346,26 +345,8 @@ OracleResult checkCalls(const CallProgram &program,
 
   // Stage 3: the virtual HLS backend must accept the legalized module
   // (residual noinline helpers synthesize bottom-up).
-  if (options.runVhls) {
-    vhls::SynthesisOptions synthOpts;
-    synthOpts.topFunction = "fuzz_calls";
-    uint64_t synthKey = 0;
-    vhls::SynthesisReport report;
-    bool cached = false;
-    if (options.useStageCache) {
-      synthKey =
-          flow::StageCache::synthKey(lir::printModule(*module), synthOpts);
-      cached = flow::StageCache::global().lookupSynth(synthKey, report);
-    }
-    if (!cached) {
-      report = vhls::synthesize(*module, synthOpts, diags);
-      if (options.useStageCache && report.accepted)
-        flow::StageCache::global().storeSynth(synthKey, report);
-    }
-    if (!report.accepted)
-      return fail(FailureKind::FlowError, "vhls",
-                  "synthesis rejected: " + diags.str());
-  }
+  if (auto failure = checkSynthesis(*module, "fuzz_calls", options, diags))
+    return *failure;
   return OracleResult{};
 }
 

@@ -118,6 +118,10 @@ TEST(BatchRunner, FailingJobDoesNotPoisonNeighbors) {
             std::string::npos);
   EXPECT_EQ(outcome.trace.failures, 1u);
   EXPECT_FALSE(outcome.trace.jobs[1].error.empty());
+  // A failed job still reports how long it ran (the trace's total_ms).
+  const StageTimings &t = outcome.trace.jobs[1].timings;
+  EXPECT_GT(t.totalMs, 0);
+  EXPECT_GE(t.totalMs, t.mlirOptMs + t.bridgeMs + t.synthMs);
 
   // The neighbors are untouched: bit-identical to serial runs.
   FlowResult serialFir = runAdaptorFlow(*findKernel("fir"), tunedConfig());

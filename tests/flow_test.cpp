@@ -2,10 +2,13 @@
 // by the virtual HLS frontend, co-simulates bit-exactly, and the two flows
 // produce comparable results (the paper's headline claim).
 #include "flow/Flow.h"
+#include "flow/StageCache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 
 using namespace mha;
 using namespace mha::flow;
@@ -256,4 +259,264 @@ TEST(Flow, MlirLevelUnrollThroughCppFlow) {
   std::string error;
   EXPECT_TRUE(cosimAgainstReference(m, *findKernel("jacobi2d"), error))
       << error;
+}
+
+// --- Stage-boundary contract: span sequences and cache traffic ---------
+
+namespace {
+
+/// A one-function module for the direct-LIR entry.
+const char *kLirInput = R"(
+define void @scale16([16 x i64]* noalias %out) {
+entry:
+  br label %header
+header:
+  %iv = phi i64 [ 0, %entry ], [ %next, %body ]
+  %cmp = icmp slt i64 %iv, 16
+  br i1 %cmp, label %body, label %exit
+body:
+  %v = mul i64 %iv, 3
+  %p = getelementptr [16 x i64], [16 x i64]* %out, i64 0, i64 %iv
+  store i64 %v, i64* %p
+  %next = add i64 %iv, 1
+  br label %header
+exit:
+  ret void
+}
+)";
+
+enum class Entry { Adaptor, HlsCpp, Lir };
+
+FlowResult runEntry(Entry entry, const FlowOptions &options) {
+  switch (entry) {
+  case Entry::Adaptor:
+    return runAdaptorFlow(*findKernel("gemm"), {}, options);
+  case Entry::HlsCpp:
+    return runHlsCppFlow(*findKernel("gemm"), {}, options);
+  case Entry::Lir:
+    return runLirAdaptorFlow(kLirInput, "scale16", options);
+  }
+  return {};
+}
+
+/// Per-stage cache traffic: {mlir, bridge, synth} x {hits, misses}.
+using CacheTraffic = std::array<int64_t, 6>;
+
+CacheTraffic cacheTraffic() {
+  StageCache::Counters c = StageCache::global().counters();
+  CacheTraffic traffic;
+  for (size_t i = 0; i < StageCache::kNumStages; ++i) {
+    traffic[2 * i] = c.stages[i].hits;
+    traffic[2 * i + 1] = c.stages[i].misses;
+  }
+  return traffic;
+}
+
+CacheTraffic operator-(const CacheTraffic &a, const CacheTraffic &b) {
+  CacheTraffic d;
+  for (size_t i = 0; i < d.size(); ++i)
+    d[i] = a[i] - b[i];
+  return d;
+}
+
+using SpanList = std::vector<std::pair<std::string, std::string>>;
+
+SpanList spanList(const FlowResult &result) {
+  SpanList list;
+  for (const StageSpan &span : result.spans)
+    list.emplace_back(span.stage, span.name);
+  return list;
+}
+
+/// How the run meets the cache: off, a cold chain, a fully warm chain,
+/// or a warm mlir stage under a bridge option edit (the bridge misses and
+/// must reparse the cached mir text; the fused pipeline prints the same
+/// lir, so the content-addressed synth stage still hits).
+enum class Temperature { Off, Cold, Warm, BridgeEdit };
+
+struct SpanCase {
+  const char *label;
+  Entry entry;
+  Temperature temperature;
+  SpanList spans;
+  CacheTraffic traffic; // mlir hit/miss, bridge hit/miss, synth hit/miss
+};
+
+const std::vector<SpanCase> &spanCases() {
+  static const std::vector<SpanCase> cases = {
+      {"adaptor_off", Entry::Adaptor, Temperature::Off,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "affine-to-scf"},
+        {"bridge", "lower-to-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {0, 0, 0, 0, 0, 0}},
+      {"adaptor_cold", Entry::Adaptor, Temperature::Cold,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "affine-to-scf"},
+        {"bridge", "lower-to-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {0, 1, 0, 1, 0, 1}},
+      {"adaptor_warm", Entry::Adaptor, Temperature::Warm,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       {1, 0, 1, 0, 1, 0}},
+      {"adaptor_bridge_edit", Entry::Adaptor, Temperature::BridgeEdit,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "parse-cached-mlir"},
+        {"bridge", "affine-to-scf"},
+        {"bridge", "lower-to-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {1, 0, 0, 1, 1, 0}},
+      {"hlscpp_off", Entry::HlsCpp, Temperature::Off,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "emit-hls-cpp"},
+        {"bridge", "hls-frontend"},
+        {"synth", "vhls"}},
+       {0, 0, 0, 0, 0, 0}},
+      {"hlscpp_cold", Entry::HlsCpp, Temperature::Cold,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "emit-hls-cpp"},
+        {"bridge", "hls-frontend"},
+        {"synth", "vhls"}},
+       {0, 1, 0, 1, 0, 1}},
+      {"hlscpp_warm", Entry::HlsCpp, Temperature::Warm,
+       {{"mlirOpt", "prepare-mlir"},
+        {"bridge", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       {1, 0, 1, 0, 1, 0}},
+      {"lir_off", Entry::Lir, Temperature::Off,
+       {{"bridge", "parse-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {0, 0, 0, 0, 0, 0}},
+      {"lir_cold", Entry::Lir, Temperature::Cold,
+       {{"bridge", "parse-lir"},
+        {"bridge", "adaptor-pipeline"},
+        {"synth", "vhls"}},
+       {0, 0, 0, 1, 0, 1}},
+      {"lir_warm", Entry::Lir, Temperature::Warm,
+       {{"bridge", "parse-lir"},
+        {"bridge", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       {0, 0, 1, 0, 1, 0}},
+  };
+  return cases;
+}
+
+// Prints a case by its label, so test names stay stable across builds.
+void PrintTo(const SpanCase &c, std::ostream *os) { *os << c.label; }
+
+class FlowSpans : public ::testing::TestWithParam<SpanCase> {};
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Entries, FlowSpans, ::testing::ValuesIn(spanCases()),
+                         [](const auto &info) {
+                           return std::string(info.param.label);
+                         });
+
+TEST_P(FlowSpans, PinsSpanSequenceAndCacheTraffic) {
+  const SpanCase &c = GetParam();
+  FlowOptions options;
+  options.useStageCache = c.temperature != Temperature::Off;
+  StageCache::global().clear();
+  if (c.temperature == Temperature::Warm ||
+      c.temperature == Temperature::BridgeEdit) {
+    FlowResult seed = runEntry(c.entry, options);
+    ASSERT_TRUE(seed.ok) << seed.diagnostics;
+  }
+  if (c.temperature == Temperature::BridgeEdit)
+    options.adaptor.fusePasses = true;
+
+  CacheTraffic before = cacheTraffic();
+  FlowResult result = runEntry(c.entry, options);
+  ASSERT_TRUE(result.ok) << result.diagnostics;
+  EXPECT_EQ(spanList(result), c.spans);
+  EXPECT_EQ(cacheTraffic() - before, c.traffic);
+  EXPECT_EQ(result.synthFromCache, c.traffic[4] == 1);
+  StageCache::global().clear();
+}
+
+// Cooperative cancellation at every stage boundary: the flag, set from
+// onStage(s), stops the run before the next stage; the stages that
+// completed stay cached, so a rerun hits exactly them.
+TEST(Flow, CancelAtEveryStageBoundaryKeepsCompletedStagesCached) {
+  struct EntryStages {
+    Entry entry;
+    std::vector<std::string> stages;
+    std::vector<size_t> trafficSlots; // CacheTraffic hit slot per stage
+  };
+  const std::vector<EntryStages> entries = {
+      {Entry::Adaptor, {"mlirOpt", "bridge", "synth"}, {0, 2, 4}},
+      {Entry::HlsCpp, {"mlirOpt", "bridge", "synth"}, {0, 2, 4}},
+      {Entry::Lir, {"bridge", "synth"}, {2, 4}},
+  };
+  for (const EntryStages &e : entries) {
+    for (size_t stop = 0; stop + 1 < e.stages.size(); ++stop) {
+      SCOPED_TRACE(e.stages[stop] + " of entry " +
+                   std::to_string(static_cast<int>(e.entry)));
+      StageCache::global().clear();
+      std::atomic<bool> cancel{false};
+      std::vector<std::string> seen;
+      FlowOptions options;
+      options.useStageCache = true;
+      options.cancelFlag = &cancel;
+      options.onStage = [&](const char *stage) {
+        seen.push_back(stage);
+        if (stage == e.stages[stop])
+          cancel.store(true);
+      };
+      FlowResult cancelled = runEntry(e.entry, options);
+      EXPECT_TRUE(cancelled.cancelled);
+      EXPECT_FALSE(cancelled.ok);
+      EXPECT_EQ(cancelled.diagnostics,
+                "flow cancelled before " + e.stages[stop + 1] + " stage");
+      EXPECT_EQ(seen, std::vector<std::string>(e.stages.begin(),
+                                               e.stages.begin() + stop + 1));
+      const StageTimings &t = cancelled.timings;
+      EXPECT_GT(t.totalMs, 0);
+      EXPECT_GE(t.totalMs, t.mlirOptMs + t.bridgeMs + t.synthMs);
+
+      // The rerun hits every completed stage and misses the rest.
+      FlowOptions rerun;
+      rerun.useStageCache = true;
+      CacheTraffic before = cacheTraffic();
+      FlowResult finished = runEntry(e.entry, rerun);
+      ASSERT_TRUE(finished.ok) << finished.diagnostics;
+      CacheTraffic traffic = cacheTraffic() - before;
+      for (size_t i = 0; i < e.stages.size(); ++i) {
+        size_t slot = e.trafficSlots[i];
+        EXPECT_EQ(traffic[slot], i <= stop ? 1 : 0) << e.stages[i];
+        EXPECT_EQ(traffic[slot + 1], i <= stop ? 0 : 1) << e.stages[i];
+      }
+    }
+  }
+  StageCache::global().clear();
+}
+
+TEST(Flow, CancelDuringLastStageStillCompletes) {
+  // No boundary follows synth: a flag raised while it runs is not seen.
+  std::atomic<bool> cancel{false};
+  FlowOptions options;
+  options.cancelFlag = &cancel;
+  options.onStage = [&](const char *stage) {
+    if (std::string(stage) == "synth")
+      cancel.store(true);
+  };
+  FlowResult result = runEntry(Entry::Adaptor, options);
+  EXPECT_TRUE(result.ok) << result.diagnostics;
+  EXPECT_FALSE(result.cancelled);
+}
+
+TEST(Flow, FailedFlowClosesTotalWindow) {
+  FlowResult result = runLirAdaptorFlow(kLirInput, "nope");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.diagnostics.find("top function 'nope' not found"),
+            std::string::npos);
+  EXPECT_GT(result.timings.bridgeMs, 0);
+  EXPECT_GE(result.timings.totalMs, result.timings.bridgeMs);
 }

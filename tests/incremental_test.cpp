@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
+
 using namespace mha;
 
 namespace {
@@ -34,16 +36,27 @@ const flow::KernelSpec &gemm() {
   return *spec;
 }
 
+using Stage = flow::StageCache::Stage;
+
 flow::StageCache::Counters delta(const flow::StageCache::Counters &before) {
   flow::StageCache::Counters now = flow::StageCache::global().counters();
   flow::StageCache::Counters d;
-  d.mlirHits = now.mlirHits - before.mlirHits;
-  d.mlirMisses = now.mlirMisses - before.mlirMisses;
-  d.bridgeHits = now.bridgeHits - before.bridgeHits;
-  d.bridgeMisses = now.bridgeMisses - before.bridgeMisses;
-  d.synthHits = now.synthHits - before.synthHits;
-  d.synthMisses = now.synthMisses - before.synthMisses;
+  for (size_t i = 0; i < flow::StageCache::kNumStages; ++i) {
+    d.stages[i].hits = now.stages[i].hits - before.stages[i].hits;
+    d.stages[i].misses = now.stages[i].misses - before.stages[i].misses;
+  }
   return d;
+}
+
+/// Stores a text entry charged at its length (what the mlir stage does).
+void storeText(uint64_t key, std::string text) {
+  int64_t bytes = static_cast<int64_t>(text.size());
+  flow::StageCache::global().store(Stage::Mlir, key, std::move(text), bytes);
+}
+
+bool lookupText(uint64_t key) {
+  std::any value;
+  return flow::StageCache::global().lookup(Stage::Mlir, key, value);
 }
 
 } // namespace
@@ -58,9 +71,9 @@ TEST(StageCache, SecondIdenticalCompileHitsEveryStage) {
   ASSERT_TRUE(cold.ok) << cold.diagnostics;
   auto coldDelta = delta(before);
   EXPECT_EQ(coldDelta.hits(), 0);
-  EXPECT_EQ(coldDelta.mlirMisses, 1);
-  EXPECT_EQ(coldDelta.bridgeMisses, 1);
-  EXPECT_EQ(coldDelta.synthMisses, 1);
+  EXPECT_EQ(coldDelta[Stage::Mlir].misses, 1);
+  EXPECT_EQ(coldDelta[Stage::Bridge].misses, 1);
+  EXPECT_EQ(coldDelta[Stage::Synth].misses, 1);
 
   before = flow::StageCache::global().counters();
   flow::FlowResult warm = flow::runAdaptorFlow(gemm(), config,
@@ -68,9 +81,9 @@ TEST(StageCache, SecondIdenticalCompileHitsEveryStage) {
   ASSERT_TRUE(warm.ok) << warm.diagnostics;
   auto warmDelta = delta(before);
   EXPECT_EQ(warmDelta.misses(), 0);
-  EXPECT_EQ(warmDelta.mlirHits, 1);
-  EXPECT_EQ(warmDelta.bridgeHits, 1);
-  EXPECT_EQ(warmDelta.synthHits, 1);
+  EXPECT_EQ(warmDelta[Stage::Mlir].hits, 1);
+  EXPECT_EQ(warmDelta[Stage::Bridge].hits, 1);
+  EXPECT_EQ(warmDelta[Stage::Synth].hits, 1);
 
   // Same answers from the cache: identical synthesis report and IR.
   ASSERT_NE(cold.synth.top(), nullptr);
@@ -111,10 +124,10 @@ TEST(StageCache, EditInvalidatesExactlyDownstreamStages) {
   flow::FlowResult r1 = flow::runAdaptorFlow(gemm(), config, synthEdit);
   ASSERT_TRUE(r1.ok) << r1.diagnostics;
   auto d1 = delta(before);
-  EXPECT_EQ(d1.mlirHits, 1);
-  EXPECT_EQ(d1.bridgeHits, 1);
-  EXPECT_EQ(d1.synthMisses, 1);
-  EXPECT_EQ(d1.synthHits, 0);
+  EXPECT_EQ(d1[Stage::Mlir].hits, 1);
+  EXPECT_EQ(d1[Stage::Bridge].hits, 1);
+  EXPECT_EQ(d1[Stage::Synth].misses, 1);
+  EXPECT_EQ(d1[Stage::Synth].hits, 0);
 
   // Bridge-level edit: the MLIR stage stays cached, bridge and synth
   // recompute (the bridge output differs, so its synth key differs).
@@ -124,9 +137,9 @@ TEST(StageCache, EditInvalidatesExactlyDownstreamStages) {
   flow::FlowResult r2 = flow::runAdaptorFlow(gemm(), config, bridgeEdit);
   ASSERT_TRUE(r2.ok) << r2.diagnostics;
   auto d2 = delta(before);
-  EXPECT_EQ(d2.mlirHits, 1);
-  EXPECT_EQ(d2.bridgeMisses, 1);
-  EXPECT_EQ(d2.bridgeHits, 0);
+  EXPECT_EQ(d2[Stage::Mlir].hits, 1);
+  EXPECT_EQ(d2[Stage::Bridge].misses, 1);
+  EXPECT_EQ(d2[Stage::Bridge].hits, 0);
 
   // Config edit: everything from the MLIR stage down recomputes.
   before = flow::StageCache::global().counters();
@@ -136,10 +149,10 @@ TEST(StageCache, EditInvalidatesExactlyDownstreamStages) {
                                              cachedOptions());
   ASSERT_TRUE(r3.ok) << r3.diagnostics;
   auto d3 = delta(before);
-  EXPECT_EQ(d3.mlirMisses, 1);
-  EXPECT_EQ(d3.mlirHits, 0);
-  EXPECT_EQ(d3.bridgeMisses, 1);
-  EXPECT_EQ(d3.synthMisses, 1);
+  EXPECT_EQ(d3[Stage::Mlir].misses, 1);
+  EXPECT_EQ(d3[Stage::Mlir].hits, 0);
+  EXPECT_EQ(d3[Stage::Bridge].misses, 1);
+  EXPECT_EQ(d3[Stage::Synth].misses, 1);
 }
 
 TEST(StageCache, FusedPipelineMatchesUnfusedResults) {
@@ -287,22 +300,21 @@ TEST(StageCacheLimit, ByteCapEvictsGloballyColdestFirst) {
   cache.clear();
   cache.setLimitBytes(250);
 
-  cache.storeMlir(1, std::string(100, 'a'));
-  cache.storeMlir(2, std::string(100, 'b'));
-  std::string text;
-  ASSERT_TRUE(cache.lookupMlir(1, text)); // refresh key 1's recency
+  storeText(1, std::string(100, 'a'));
+  storeText(2, std::string(100, 'b'));
+  ASSERT_TRUE(lookupText(1)); // refresh key 1's recency
 
   auto before = cache.counters();
-  cache.storeMlir(3, std::string(100, 'c'));
+  storeText(3, std::string(100, 'c'));
   auto after = cache.counters();
 
   // Key 2 was the coldest; exactly one eviction brings the total back
   // under the cap, and the resident-bytes counter respects it.
-  EXPECT_EQ(after.mlirEvictions - before.mlirEvictions, 1);
+  EXPECT_EQ(after[Stage::Mlir].evictions - before[Stage::Mlir].evictions, 1);
   EXPECT_LE(after.bytes(), cache.limitBytes());
-  EXPECT_TRUE(cache.lookupMlir(1, text));
-  EXPECT_TRUE(cache.lookupMlir(3, text));
-  EXPECT_FALSE(cache.lookupMlir(2, text));
+  EXPECT_TRUE(lookupText(1));
+  EXPECT_TRUE(lookupText(3));
+  EXPECT_FALSE(lookupText(2));
 
   cache.setLimitBytes(0);
   cache.clear();
@@ -313,18 +325,17 @@ TEST(StageCacheLimit, SetLimitEnforcesImmediatelyAndOversizedEntryLeaves) {
   cache.clear();
   cache.setLimitBytes(0);
   for (uint64_t key = 1; key <= 8; ++key)
-    cache.storeMlir(key, std::string(100, 'x'));
+    storeText(key, std::string(100, 'x'));
   EXPECT_EQ(cache.counters().bytes(), 800);
 
   // Tightening the cap evicts immediately, not on the next store.
   cache.setLimitBytes(350);
   EXPECT_LE(cache.counters().bytes(), 350);
-  EXPECT_GE(cache.counters().mlirEvictions, 5);
+  EXPECT_GE(cache.counters()[Stage::Mlir].evictions, 5);
 
   // An entry larger than the whole cap never stays resident.
-  cache.storeMlir(99, std::string(1000, 'y'));
-  std::string text;
-  EXPECT_FALSE(cache.lookupMlir(99, text));
+  storeText(99, std::string(1000, 'y'));
+  EXPECT_FALSE(lookupText(99));
   EXPECT_LE(cache.counters().bytes(), 350);
 
   cache.setLimitBytes(0);
@@ -392,8 +403,8 @@ exit:
       flow::runLirAdaptorFlow(moduleText("1"), "top", cachedOptions());
   ASSERT_TRUE(cold.ok) << cold.diagnostics;
   auto coldDelta = delta(before);
-  EXPECT_EQ(coldDelta.bridgeMisses, 1);
-  EXPECT_EQ(coldDelta.synthMisses, 1);
+  EXPECT_EQ(coldDelta[Stage::Bridge].misses, 1);
+  EXPECT_EQ(coldDelta[Stage::Synth].misses, 1);
   EXPECT_EQ(coldDelta.hits(), 0);
 
   before = flow::StageCache::global().counters();
@@ -401,7 +412,7 @@ exit:
       flow::runLirAdaptorFlow(moduleText("1"), "top", cachedOptions());
   ASSERT_TRUE(warm.ok) << warm.diagnostics;
   auto warmDelta = delta(before);
-  EXPECT_EQ(warmDelta.bridgeHits, 1);
+  EXPECT_EQ(warmDelta[Stage::Bridge].hits, 1);
   EXPECT_EQ(warmDelta.misses(), 0);
 
   // Edit only @helper: same @top text, different callee body. The whole
@@ -411,6 +422,6 @@ exit:
       flow::runLirAdaptorFlow(moduleText("2"), "top", cachedOptions());
   ASSERT_TRUE(edited.ok) << edited.diagnostics;
   auto editedDelta = delta(before);
-  EXPECT_EQ(editedDelta.bridgeMisses, 1);
-  EXPECT_EQ(editedDelta.bridgeHits, 0);
+  EXPECT_EQ(editedDelta[Stage::Bridge].misses, 1);
+  EXPECT_EQ(editedDelta[Stage::Bridge].hits, 0);
 }

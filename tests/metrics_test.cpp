@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -419,18 +420,21 @@ TEST(MetricsStageCache, HitMissBytesTrackLookups) {
   MetricsScope scope;
   flow::StageCache &cache = flow::StageCache::global();
   cache.clear();
-  std::string text;
-  EXPECT_FALSE(cache.lookupMlir(1, text));
-  cache.storeMlir(1, "cached mir text");
-  EXPECT_TRUE(cache.lookupMlir(1, text));
-  EXPECT_EQ(text, "cached mir text");
+  using Stage = flow::StageCache::Stage;
+  const std::string text = "cached mir text";
+  std::any value;
+  EXPECT_FALSE(cache.lookup(Stage::Mlir, 1, value));
+  cache.store(Stage::Mlir, 1, text, int64_t(text.size()));
+  EXPECT_TRUE(cache.lookup(Stage::Mlir, 1, value));
+  EXPECT_EQ(std::any_cast<std::string>(value), "cached mir text");
 
-  flow::StageCache::Counters stats = cache.stats();
-  EXPECT_EQ(stats.mlirHits, 1);
-  EXPECT_EQ(stats.mlirMisses, 1);
-  EXPECT_EQ(stats.mlirBytes, int64_t(std::string("cached mir text").size()));
+  flow::StageCache::Counters stats = cache.counters();
+  EXPECT_EQ(stats[Stage::Mlir].hits, 1);
+  EXPECT_EQ(stats[Stage::Mlir].misses, 1);
+  EXPECT_EQ(stats[Stage::Mlir].bytes,
+            int64_t(std::string("cached mir text").size()));
   EXPECT_DOUBLE_EQ(stats.hitRate(), 0.5);
-  EXPECT_EQ(stats.bytes(), stats.mlirBytes);
+  EXPECT_EQ(stats.bytes(), stats[Stage::Mlir].bytes);
 
   metrics::Registry &reg = metrics::Registry::global();
   EXPECT_EQ(
@@ -442,10 +446,10 @@ TEST(MetricsStageCache, HitMissBytesTrackLookups) {
           .value(),
       1);
   EXPECT_EQ(reg.gauge("mha_stage_cache_bytes", "", {{"stage", "mlir"}}).value(),
-            stats.mlirBytes);
+            stats[Stage::Mlir].bytes);
 
   cache.clear();
-  EXPECT_EQ(cache.stats().bytes(), 0);
+  EXPECT_EQ(cache.counters().bytes(), 0);
   EXPECT_EQ(reg.gauge("mha_stage_cache_bytes", "", {{"stage", "mlir"}}).value(),
             0);
 }

@@ -215,7 +215,7 @@ int main(int argc, char **argv) {
     if (statsFlag)
       std::fprintf(stderr, "%s", telemetry::statisticsReport().c_str());
     if (stageCache) {
-      flow::StageCache::Counters cache = flow::StageCache::global().stats();
+      flow::StageCache::Counters cache = flow::StageCache::global().counters();
       std::fprintf(stderr, "stage-cache: %lld hits, %lld misses\n",
                    static_cast<long long>(cache.hits()),
                    static_cast<long long>(cache.misses()));
@@ -341,7 +341,7 @@ int main(int argc, char **argv) {
   if (stageCache) {
     // One-line cache summary on stderr — stdout must stay byte-identical
     // between cached and uncached runs (the CI determinism diff).
-    flow::StageCache::Counters cache = flow::StageCache::global().stats();
+    flow::StageCache::Counters cache = flow::StageCache::global().counters();
     std::fprintf(stderr,
                  "stage-cache: %lld hits, %lld misses (%.1f%% hit rate), "
                  "%lld bytes resident\n",
