@@ -56,11 +56,6 @@ struct AdaptorOptions {
   bool verifyCompat = true;
   /// Run scalar cleanups between stages.
   bool runCleanups = true;
-  /// Fuse each cleanup group into one function-at-a-time pass
-  /// (FusedFunctionPass): one traversal and one verifier run per group
-  /// instead of per sub-pass. Off by default so pass-level reports keep
-  /// their historical shape.
-  bool fusePasses = false;
 };
 
 /// Individual pass factories (composable for tests/ablation).

@@ -5,9 +5,6 @@
 #include "lir/LContext.h"
 #include "lir/transforms/Transforms.h"
 
-#include <cassert>
-#include <vector>
-
 namespace mha::adaptor {
 
 namespace {
@@ -27,30 +24,6 @@ public:
   }
 };
 
-/// Downcasts a scalar-cleanup pass to FunctionPass for fusion. All lir
-/// cleanups are function passes; assert rather than silently drop one.
-std::unique_ptr<lir::FunctionPass>
-toFunctionPass(std::unique_ptr<lir::ModulePass> pass) {
-  lir::FunctionPass *fn = pass->asFunctionPass();
-  assert(fn && "cleanup pass is not a FunctionPass");
-  pass.release();
-  return std::unique_ptr<lir::FunctionPass>(fn);
-}
-
-void addCleanupGroup(lir::PassManager &pm, bool fuse,
-                     std::vector<std::unique_ptr<lir::ModulePass>> passes) {
-  if (!fuse) {
-    for (auto &pass : passes)
-      pm.add(std::move(pass));
-    return;
-  }
-  std::vector<std::unique_ptr<lir::FunctionPass>> fns;
-  fns.reserve(passes.size());
-  for (auto &pass : passes)
-    fns.push_back(toFunctionPass(std::move(pass)));
-  pm.add(std::make_unique<lir::FusedFunctionPass>(std::move(fns)));
-}
-
 } // namespace
 
 std::unique_ptr<lir::ModulePass> createHlsCompatVerifyPass() {
@@ -67,10 +40,8 @@ void buildAdaptorPipeline(lir::PassManager &pm,
     pm.add(lir::createInlinerPass(io));
     pm.add(lir::createCallSitePrivatizationPass());
     if (options.runCleanups) {
-      std::vector<std::unique_ptr<lir::ModulePass>> group;
-      group.push_back(lir::createDCEPass());
-      group.push_back(lir::createSimplifyCFGPass());
-      addCleanupGroup(pm, options.fusePasses, std::move(group));
+      pm.add(lir::createDCEPass());
+      pm.add(lir::createSimplifyCFGPass());
     }
   }
   if (options.runDescriptorElimination)
@@ -78,22 +49,18 @@ void buildAdaptorPipeline(lir::PassManager &pm,
   if (options.runIntrinsicLegalize)
     pm.add(createIntrinsicLegalizePass());
   if (options.runCleanups) {
-    std::vector<std::unique_ptr<lir::ModulePass>> group;
-    group.push_back(lir::createInstCombinePass());
-    group.push_back(lir::createDCEPass());
-    addCleanupGroup(pm, options.fusePasses, std::move(group));
+    pm.add(lir::createInstCombinePass());
+    pm.add(lir::createDCEPass());
   }
   if (options.runGepCanonicalize)
     pm.add(createGepCanonicalizePass());
   if (options.runCleanups) {
-    std::vector<std::unique_ptr<lir::ModulePass>> group;
-    group.push_back(lir::createInstCombinePass());
-    group.push_back(lir::createCSEPass());
-    group.push_back(lir::createDCEPass());
-    group.push_back(lir::createSimplifyCFGPass());
-    group.push_back(lir::createLICMPass());
-    group.push_back(lir::createDCEPass());
-    addCleanupGroup(pm, options.fusePasses, std::move(group));
+    pm.add(lir::createInstCombinePass());
+    pm.add(lir::createCSEPass());
+    pm.add(lir::createDCEPass());
+    pm.add(lir::createSimplifyCFGPass());
+    pm.add(lir::createLICMPass());
+    pm.add(lir::createDCEPass());
   }
   if (options.runPointerTypeRecovery)
     pm.add(createPointerTypeRecoveryPass());

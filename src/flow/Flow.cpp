@@ -16,7 +16,6 @@
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <any>
 #include <cmath>
@@ -86,7 +85,7 @@ void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
       .boolean(ao.runAttributeScrub)
       .boolean(ao.verifyCompat)
       .boolean(ao.runCleanups)
-      .boolean(ao.fusePasses);
+      .boolean(false); // retired pass-fusion flag: keeps stage keys stable
 }
 
 /// Kernel identity + directives + MLIR-level options. The kernel name
@@ -209,17 +208,9 @@ bool ensureMir(FlowState &s) {
 }
 
 bool runAdaptorPipeline(FlowState &s) {
-  // A dedicated pool per call: the batch runner's pool must never run
-  // pass tasks (TaskGroup::wait does not steal — see setConcurrency).
-  std::unique_ptr<ThreadPool> passPool;
   return substage(s, "adaptor-pipeline", [&] {
     lir::PassManager pm(/*verifyEach=*/true);
     adaptor::buildAdaptorPipeline(pm, adaptorOptions(s));
-    if (s.options.passJobs > 1) {
-      passPool = std::make_unique<ThreadPool>(
-          static_cast<unsigned>(s.options.passJobs));
-      pm.setConcurrency(passPool.get());
-    }
     bool ok = pm.run(*s.result.module, s.diags);
     s.result.adaptorStats = pm.totalStats();
     return ok;

@@ -99,10 +99,6 @@ struct FlowOptions {
   /// way. Shared by BatchRunner jobs, the DSE evaluator and the fuzz
   /// oracle whenever their FlowOptions enable it.
   bool useStageCache = false;
-  /// Run lir function passes function-at-a-time on this many workers
-  /// (<=1: serial). The flow creates a dedicated pass pool per call; see
-  /// lir::PassManager::setConcurrency for the determinism contract.
-  int passJobs = 1;
   /// Cooperative cancellation: when non-null, the flow checks the flag at
   /// every stage boundary (before mlirOpt, bridge and synth) and abandons
   /// the run with FlowResult::cancelled set instead of starting the next

@@ -5,7 +5,7 @@
 #include "support/Hash.h"
 #include "support/StringUtils.h"
 
-#include <atomic>
+#include <mutex>
 #include <cassert>
 #include <cstring>
 #include <unordered_map>
@@ -32,12 +32,9 @@ struct LContext::Impl {
   SimpleType floatTy;
   SimpleType doubleTy;
 
-  // Every uniquing method locks this so parallel function passes can
-  // create constants/types concurrently. Uncontended in serial mode.
+  // Every uniquing method locks this, so types and constants may be
+  // created from any thread. Uncontended in serial mode.
   std::mutex uniquingMutex;
-  // Guards shared-value use-lists while parallelUseLists is on.
-  std::mutex useListMutex;
-  std::atomic<bool> parallelUseLists{false};
 
   std::unordered_map<unsigned, IntType *> intTypes;
   std::unordered_map<Type *, PointerType *> ptrTypes;
@@ -64,16 +61,6 @@ template <typename T, typename... Args> T *LContext::alloc(Args &&...args) {
 
 LContext::LContext() : impl_(std::make_unique<Impl>(*this)) {}
 LContext::~LContext() = default;
-
-void LContext::setParallelUseLists(bool enabled) {
-  impl_->parallelUseLists.store(enabled, std::memory_order_release);
-}
-
-bool LContext::parallelUseLists() const {
-  return impl_->parallelUseLists.load(std::memory_order_acquire);
-}
-
-std::mutex &LContext::useListMutex() { return impl_->useListMutex; }
 
 size_t LContext::arenaBytes() const { return impl_->arena.bytesAllocated(); }
 

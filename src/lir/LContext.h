@@ -2,17 +2,15 @@
 //
 // Uniquing is hash-based (FNV composite keys into unordered maps with
 // structural verification) and node storage is a bump-pointer arena.
-// Uniquing methods are guarded by an internal mutex so per-function
-// parallel passes may create constants concurrently; the use-lists of
-// context-owned values (constants, functions) are additionally guarded
-// while parallel use-lists are enabled (see setParallelUseLists).
+// Uniquing methods are guarded by an internal mutex, so creating a type
+// or constant is safe from any thread. Use-lists are not locked: a module
+// and its context are mutated by one thread at a time.
 #pragma once
 
 #include "lir/Type.h"
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace mha::lir {
@@ -58,16 +56,6 @@ public:
   /// When true, newly created pointer-producing IR should use opaque
   /// pointers; the MLIR lowering sets this, the adaptor clears it.
   bool emitOpaquePointers = true;
-
-  /// Shared-value use-list locking. Mutating the use-list of a value that
-  /// is visible to more than one function (constants, undef, functions)
-  /// races when function passes run in parallel; the pass manager enables
-  /// this around parallel sections and Use::set takes useListMutex() for
-  /// shared values while it is on. Off by default: serial compilation
-  /// pays no locking cost.
-  void setParallelUseLists(bool enabled);
-  bool parallelUseLists() const;
-  std::mutex &useListMutex();
 
   /// Bytes currently held by the uniquing arena (telemetry/tests).
   size_t arenaBytes() const;

@@ -22,10 +22,6 @@
 #include <string>
 #include <vector>
 
-namespace mha {
-class ThreadPool;
-} // namespace mha
-
 namespace mha::lir {
 
 class Function;
@@ -34,8 +30,6 @@ class Module;
 /// A named statistic counter; passes use these for the adaptor report.
 using PassStats = std::map<std::string, int64_t>;
 
-class FunctionPass;
-
 class ModulePass {
 public:
   virtual ~ModulePass() = default;
@@ -43,19 +37,11 @@ public:
   /// Returns true if the IR changed.
   virtual bool run(Module &module, PassStats &stats,
                    DiagnosticEngine &diags) = 0;
-  /// Non-null when this pass processes functions independently and may be
-  /// parallelized/fused by the pass manager (RTTI-free downcast).
-  virtual FunctionPass *asFunctionPass() { return nullptr; }
 };
 
 /// A pass whose unit of work is one function, with no cross-function
-/// dependencies. The pass manager may run it over the module's functions
-/// in parallel (see PassManager::setConcurrency) or fuse consecutive
-/// function passes into one traversal (FusedFunctionPass).
-///
-/// Contract for implementations: runOnFunction may read and create
-/// context-owned values (constants, types — uniquing is internally
-/// locked) and mutate only `fn`'s own instructions/blocks; it must not
+/// dependencies: run() visits the module's functions in order.
+/// runOnFunction mutates only `fn`'s own instructions/blocks; it must not
 /// touch other functions' bodies or module-level structure.
 class FunctionPass : public ModulePass {
 public:
@@ -65,27 +51,6 @@ public:
 
   /// Serial default: runOnFunction over every function in order.
   bool run(Module &module, PassStats &stats, DiagnosticEngine &diags) override;
-
-  FunctionPass *asFunctionPass() override { return this; }
-};
-
-/// Runs a fixed list of function passes back-to-back per function before
-/// moving to the next one. Fusing the adaptor's cleanup groups this way
-/// keeps a function hot in cache across sub-passes and replaces N
-/// verifier runs (verifyEach) with one per group.
-class FusedFunctionPass : public FunctionPass {
-public:
-  explicit FusedFunctionPass(std::vector<std::unique_ptr<FunctionPass>> passes);
-
-  /// "fused<a+b+c>".
-  std::string name() const override;
-
-  bool runOnFunction(Function &fn, PassStats &stats,
-                     DiagnosticEngine &diags) override;
-
-private:
-  std::vector<std::unique_ptr<FunctionPass>> passes_;
-  std::string name_;
 };
 
 /// Wraps a free function as a pass.
@@ -173,18 +138,6 @@ public:
     instrumentations_.push_back(instrumentation);
   }
 
-  /// Runs function passes function-at-a-time on `pool` (not owned; must
-  /// outlive run()). nullptr restores serial execution. The pool must be
-  /// dedicated to pass execution — scheduling pass work on a pool whose
-  /// worker is itself blocked in this run() (e.g. the batch runner's)
-  /// can deadlock, since TaskGroup::wait does not steal work.
-  /// Module-level instrumentation hooks still fire on the calling thread
-  /// around the whole pass; per-function spans are recorded on the worker
-  /// threads, so they land in the workers' telemetry lanes. Results
-  /// (stats, diagnostics, records) are merged in deterministic function
-  /// order regardless of completion order.
-  void setConcurrency(ThreadPool *pool) { pool_ = pool; }
-
   /// Runs every pass in order. Returns false if a pass errored or a
   /// post-pass verification failed (remaining passes are skipped).
   bool run(Module &module, DiagnosticEngine &diags);
@@ -195,14 +148,10 @@ public:
   PassStats totalStats() const;
 
 private:
-  bool runOnePass(ModulePass &pass, Module &module, DiagnosticEngine &diags,
-                  PassRunRecord &record);
-
   bool verifyEach_;
   std::vector<std::unique_ptr<ModulePass>> passes_;
   std::vector<PassInstrumentation *> instrumentations_;
   std::vector<PassRunRecord> records_;
-  ThreadPool *pool_ = nullptr;
 };
 
 } // namespace mha::lir

@@ -1,9 +1,6 @@
 #include "lir/Value.h"
 
-#include "lir/LContext.h"
-
 #include <cassert>
-#include <mutex>
 
 namespace mha::lir {
 
@@ -22,21 +19,6 @@ void Value::replaceAllUsesWith(Value *replacement) {
 void Use::set(Value *value) {
   if (value_ == value)
     return;
-  // Use-lists of function-local values (instructions, arguments, blocks)
-  // are only touched by the thread processing that function; use-lists of
-  // shared values (constants, undef, functions) are touched by every
-  // thread and need the context lock during parallel pass execution.
-  Value *shared = nullptr;
-  if (value_ && value_->isShared())
-    shared = value_;
-  else if (value && value->isShared())
-    shared = value;
-  std::unique_lock<std::mutex> guard;
-  if (shared) {
-    LContext &ctx = shared->type()->context();
-    if (ctx.parallelUseLists())
-      guard = std::unique_lock<std::mutex>(ctx.useListMutex());
-  }
   if (value_) {
     auto &uses = value_->uses_;
     uses.erase(std::find(uses.begin(), uses.end(), this));

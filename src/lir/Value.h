@@ -56,12 +56,6 @@ public:
            kind_ == Kind::Undef;
   }
 
-  /// True for values visible to more than one function (context-owned
-  /// constants and functions themselves). Their use-lists are the only
-  /// cross-function shared mutable state, so parallel function passes
-  /// serialize mutations of them (see LContext::setParallelUseLists).
-  bool isShared() const { return isConstant() || kind_ == Kind::Function; }
-
 protected:
   Value(Kind kind, Type *type) : kind_(kind), type_(type) {}
 
@@ -86,10 +80,7 @@ public:
   User *user() const { return user_; }
   unsigned index() const { return index_; }
 
-  /// Retargets this edge. Out-of-line: when the old or new value is
-  /// shared across functions (constant, function) and parallel use-lists
-  /// are enabled on its context, the mutation takes the context's
-  /// use-list mutex.
+  /// Retargets this edge, moving it between the two values' use-lists.
   void set(Value *value);
 
 private:

@@ -142,8 +142,7 @@ private:
   Value *simplify(Instruction *inst) {
     if (inst->hasUses() == false && !inst->hasSideEffects())
       return nullptr; // DCE's job
-    // Derive the context per call: a ctx_ member written from run() would
-    // be shared mutable state under parallel function-at-a-time execution.
+    // Derive the context per call: the pass keeps no per-run state.
     LContext *ctx_ = &inst->type()->context();
     Opcode op = inst->opcode();
     if (inst->isBinaryOp())

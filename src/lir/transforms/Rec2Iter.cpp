@@ -137,9 +137,14 @@ private:
     // --- 2. Frame slots: one [depth x T] array per demoted value.
     BasicBlock *prologue = fn->createBlockBefore(bodyEntry, "rec.prologue");
     b.setInsertPoint(prologue);
-    std::map<Value *, Instruction *> slots; // value -> its slot alloca
+    // value -> its slot alloca, plus the values in creation order
+    // (arguments by index, then instructions in program order) so the
+    // rewrite below never depends on heap addresses.
+    std::map<Value *, Instruction *> slots;
+    std::vector<Value *> slotOrder;
     auto makeSlot = [&](Value *v, const std::string &name) {
       slots[v] = b.createAlloca(ctx.arrayTy(v->type(), depth), name);
+      slotOrder.push_back(v);
     };
     for (unsigned i = 0; i < fn->numArgs(); ++i)
       makeSlot(fn->arg(i), "rec.arg" + std::to_string(i));
@@ -202,7 +207,8 @@ private:
     // its slot just before the user. A value's own def-store keeps the
     // direct operand (that is the one live register); phi operands are
     // left alone (the phis are erased next).
-    for (auto &[value, slot] : slots) {
+    for (Value *value : slotOrder) {
+      Instruction *slot = slots.at(value);
       std::vector<Use *> uses(value->uses().begin(), value->uses().end());
       for (Use *use : uses) {
         auto *user = dyn_cast<Instruction>(use->user());

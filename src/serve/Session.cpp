@@ -28,7 +28,6 @@ flow::FlowOptions makeFlowOptions(const Request &req,
                                   const Emit &emit) {
   flow::FlowOptions fo;
   fo.useStageCache = options.useStageCache;
-  fo.passJobs = options.passJobs;
   fo.cancelFlag = cancelFlag;
   fo.onStage = [&req, &emit](const char *stage) {
     emit(renderStage(req.id, stage));

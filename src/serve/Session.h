@@ -30,8 +30,6 @@ struct SessionOptions {
   /// Consult/populate the process-global StageCache (the daemon's
   /// whole-pipeline result cache).
   bool useStageCache = true;
-  /// FlowOptions::passJobs for each compile (<=1: serial).
-  int passJobs = 1;
 };
 
 /// What the server needs for the terminal `done` event and its metrics.

@@ -430,7 +430,7 @@ TEST_P(FlowSpans, PinsSpanSequenceAndCacheTraffic) {
     ASSERT_TRUE(seed.ok) << seed.diagnostics;
   }
   if (c.temperature == Temperature::BridgeEdit)
-    options.adaptor.fusePasses = true;
+    options.adaptor.inlineBudget = 255;
 
   CacheTraffic before = cacheTraffic();
   FlowResult result = runEntry(c.entry, options);

@@ -253,6 +253,68 @@ TEST(Rec2Iter, FibWithDepthAttributeIsInterpEquivalent) {
   EXPECT_EQ(p.interp("fib", {15}), 610);
 }
 
+// Slot loads go in before a user in creation order (arguments, then
+// instructions in program order), never in heap-address order. %b is
+// parsed first and %a is then moved above it, so program order and
+// allocation order disagree; %a's load must still come first.
+TEST(Rec2Iter, SlotLoadsFollowProgramOrderNotAddresses) {
+  Parsed p(R"(
+define i64 @f(i64 %n) {
+entry:
+  %cmp = icmp sle i64 %n, 1
+  br i1 %cmp, label %base, label %rec
+base:
+  ret i64 1
+rec:
+  %b = add i64 %n, 3
+  %a = add i64 %n, 7
+  %v = mul i64 %b, %a
+  %n1 = sub i64 %n, 1
+  %r = call i64 @f(i64 %n1)
+  %w = add i64 %v, %r
+  ret i64 %w
+}
+)");
+  Function *fn = p.module->getFunction("f");
+  auto named = [&](const std::string &name) -> Instruction * {
+    for (BasicBlock *bb : fn->blockPtrs())
+      for (auto &inst : *bb)
+        if (inst->name() == name)
+          return inst.get();
+    return nullptr;
+  };
+  Instruction *a = named("a");
+  Instruction *b = named("b");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  BasicBlock *rec = b->parent();
+  rec->insert(rec->positionOf(b), a->removeFromParent());
+  int64_t expected = p.interp("f", {6});
+
+  p.runPass(createRec2IterPass());
+  Instruction *mul = nullptr;
+  for (BasicBlock *bb : fn->blockPtrs())
+    for (auto &inst : *bb)
+      if (inst->opcode() == Opcode::Mul)
+        mul = inst.get();
+  ASSERT_NE(mul, nullptr) << p.print();
+  auto *loadB = dyn_cast<Instruction>(mul->operand(0));
+  auto *loadA = dyn_cast<Instruction>(mul->operand(1));
+  ASSERT_NE(loadA, nullptr);
+  ASSERT_NE(loadB, nullptr);
+  ASSERT_EQ(loadA->opcode(), Opcode::Load);
+  ASSERT_EQ(loadB->opcode(), Opcode::Load);
+  ASSERT_EQ(loadA->parent(), mul->parent());
+  ASSERT_EQ(loadB->parent(), mul->parent());
+  BasicBlock *bb = mul->parent();
+  auto index = [&](Instruction *inst) {
+    return std::distance(bb->begin(), bb->positionOf(inst));
+  };
+  EXPECT_LT(index(loadA), index(loadB)) << p.print();
+  EXPECT_LT(index(loadB), index(mul)) << p.print();
+  EXPECT_EQ(p.interp("f", {6}), expected);
+}
+
 TEST(Rec2Iter, MutualRecursionIsSkippedWithNote) {
   Parsed p(R"(
 define i64 @even(i64 %n) {

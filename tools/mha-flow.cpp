@@ -4,9 +4,8 @@
 //            [--batch] [--threads=N] [--trace=out.json]
 //            [--chrome-trace=out.json] [--time-passes] [--stats]
 //            [--ii=N] [--unroll=N] [--partition=N] [--dataflow]
-//            [--no-directives] [--cosim] [--pass-jobs=N] [--stage-cache]
-//            [--no-times]
-//   mha-flow --lir=module.lir [--top=fn] [--pass-jobs=N] [--stage-cache]
+//            [--no-directives] [--cosim] [--stage-cache] [--no-times]
+//   mha-flow --lir=module.lir [--top=fn] [--stage-cache]
 //            [--no-times] [--stats] [--time-passes]
 //
 // Runs every (kernel, flow) pair and prints one row per job with
@@ -18,8 +17,7 @@
 // worker, nested batch-job -> flow-stage -> pass spans) loadable in
 // chrome://tracing or Perfetto; --time-passes prints the aggregated
 // per-pass timing table and --stats the statistic-counter registry, both
-// on stderr. --pass-jobs runs lir function passes function-at-a-time on N
-// workers; --stage-cache enables incremental recompilation (stage-hash
+// on stderr. --stage-cache enables incremental recompilation (stage-hash
 // cache, shared across jobs in this process) and prints a one-line cache
 // summary on stderr at exit; --no-times suppresses every timing in the
 // output so two runs diff byte-identically (the CI determinism check).
@@ -58,9 +56,9 @@ int usage() {
       "                [--batch] [--threads=N] [--trace=out.json]\n"
       "                [--chrome-trace=out.json] [--time-passes] [--stats]\n"
       "                [--ii=N] [--unroll=N] [--partition=N] [--dataflow]\n"
-      "                [--no-directives] [--cosim] [--pass-jobs=N]\n"
+      "                [--no-directives] [--cosim]\n"
       "                [--stage-cache] [--no-times]\n"
-      "       mha-flow --lir=module.lir [--top=fn] [--pass-jobs=N]\n"
+      "       mha-flow --lir=module.lir [--top=fn]\n"
       "                [--stage-cache] [--no-times] [--stats]\n"
       "                [--metrics-out=m.json] [--metrics-interval=MS]\n"
       "                [--metrics-prom=m.prom] [--event-log=e.jsonl]\n"
@@ -98,7 +96,7 @@ int main(int argc, char **argv) {
   bool batch = false, cosim = false, timePasses = false, statsFlag = false;
   bool stageCache = false, noTimes = false;
   std::string lirPath, topName;
-  int64_t threads = 0, passJobs = 1;
+  int64_t threads = 0;
   flow::KernelConfig config;
   config.pipelineII = 1;
   config.partitionFactor = 2;
@@ -144,10 +142,7 @@ int main(int argc, char **argv) {
       config.applyDirectives = false;
     else if (arg == "--cosim")
       cosim = true;
-    else if (startsWith(arg, "--pass-jobs=")) {
-      if (!parseNumericFlag(arg, 12, "--pass-jobs", 1, 4096, passJobs))
-        return usage();
-    } else if (startsWith(arg, "--lir="))
+    else if (startsWith(arg, "--lir="))
       lirPath = arg.substr(6);
     else if (startsWith(arg, "--top="))
       topName = arg.substr(6);
@@ -186,7 +181,6 @@ int main(int argc, char **argv) {
 
     flow::FlowOptions flowOptions;
     flowOptions.useStageCache = stageCache;
-    flowOptions.passJobs = static_cast<int>(passJobs);
     flow::FlowResult result =
         flow::runLirAdaptorFlow(buffer.str(), topName, flowOptions);
     if (!result.ok) {
@@ -255,7 +249,6 @@ int main(int argc, char **argv) {
 
   flow::FlowOptions flowOptions;
   flowOptions.useStageCache = stageCache;
-  flowOptions.passJobs = static_cast<int>(passJobs);
 
   std::vector<flow::BatchJob> jobs;
   for (const flow::KernelSpec *spec : kernels)

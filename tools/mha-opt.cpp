@@ -5,10 +5,12 @@
 //   mha-opt file.ll --synthesize [--top=name] [--json]
 //   mha-opt file.ll --passes=adaptor --time-passes --stats
 //          --chrome-trace=out.json --print-ir-after=dce
-//   mha-opt file.ll --passes=adaptor --pass-jobs=4
+//   mha-opt multifn.lir --passes=rec2iter,inline,callsite-privatize
+//          --top=multifn
 //
 // Reads from stdin when no file is given. Pass names:
 //   mem2reg simplifycfg instcombine cse dce licm
+//   rec2iter inline (keeps --top) callsite-privatize
 //   descriptor-elim intrinsic-legalize gep-canonicalize ptr-recovery
 //   metadata-convert attr-scrub adaptor (= the full pipeline)
 //   hls-compat-check (report only)
@@ -30,7 +32,6 @@
 #include "lir/transforms/Transforms.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "vhls/Vhls.h"
 
 #include <cstdio>
@@ -42,7 +43,8 @@ using namespace mha;
 
 namespace {
 
-std::unique_ptr<lir::ModulePass> makePass(const std::string &name) {
+std::unique_ptr<lir::ModulePass> makePass(const std::string &name,
+                                          const std::string &top) {
   if (name == "mem2reg")
     return lir::createMem2RegPass();
   if (name == "simplifycfg")
@@ -55,6 +57,15 @@ std::unique_ptr<lir::ModulePass> makePass(const std::string &name) {
     return lir::createDCEPass();
   if (name == "licm")
     return lir::createLICMPass();
+  if (name == "rec2iter")
+    return lir::createRec2IterPass();
+  if (name == "inline") {
+    lir::InlinerOptions io;
+    io.preservedFunction = top;
+    return lir::createInlinerPass(io);
+  }
+  if (name == "callsite-privatize")
+    return lir::createCallSitePrivatizationPass();
   if (name == "descriptor-elim")
     return adaptor::createDescriptorEliminationPass();
   if (name == "intrinsic-legalize")
@@ -81,7 +92,6 @@ int usage() {
                "               [--print-ir-after=p|--print-ir-after-all]\n"
                "               [--synthesize [--top=name] [--json] "
                "[--strict]]\n"
-               "               [--pass-jobs=N]\n"
                "               [--metrics-out=m.json] "
                "[--metrics-interval=MS]\n"
                "               [--metrics-prom=m.prom] "
@@ -97,7 +107,6 @@ int main(int argc, char **argv) {
   std::string passList;
   bool verify = false, stats = false, synthesizeIt = false, json = false;
   bool strict = false, timePasses = false;
-  long passJobs = 1;
   std::string top;
   std::string chromeTracePath;
   lir::PrintIRInstrumentation::Options printIR;
@@ -132,14 +141,6 @@ int main(int argc, char **argv) {
       json = true;
     else if (arg == "--strict")
       strict = true;
-    else if (startsWith(arg, "--pass-jobs=")) {
-      std::optional<int64_t> parsed = parseInt(arg.substr(12));
-      if (!parsed || *parsed < 1 || *parsed > 4096) {
-        std::fprintf(stderr, "invalid value for --pass-jobs\n");
-        return usage();
-      }
-      passJobs = static_cast<long>(*parsed);
-    }
     else if (startsWith(arg, "--top="))
       top = arg.substr(6);
     else if (arg == "--help" || arg == "-h")
@@ -198,12 +199,6 @@ int main(int argc, char **argv) {
 
   if (!passList.empty()) {
     lir::PassManager pm(/*verifyEach=*/true);
-    // Dedicated pool: function passes run function-at-a-time across it.
-    std::unique_ptr<ThreadPool> passPool;
-    if (passJobs > 1) {
-      passPool = std::make_unique<ThreadPool>(static_cast<unsigned>(passJobs));
-      pm.setConcurrency(passPool.get());
-    }
     lir::PrintIRInstrumentation printer(printIR, std::cerr);
     if (printIR.beforeAll || printIR.afterAll ||
         !printIR.beforePasses.empty() || !printIR.afterPasses.empty())
@@ -213,7 +208,7 @@ int main(int argc, char **argv) {
         adaptor::buildAdaptorPipeline(pm, {});
         continue;
       }
-      auto pass = makePass(name);
+      auto pass = makePass(name, top);
       if (!pass) {
         std::fprintf(stderr, "unknown pass '%s'\n", name.c_str());
         return 2;

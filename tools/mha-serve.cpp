@@ -2,7 +2,7 @@
 //
 //   mha-serve --socket=<path> [--max-inflight=N] [--max-queue=N]
 //             [--drain-ms=MS] [--stage-cache-limit=BYTES]
-//             [--no-stage-cache] [--pass-jobs=N]
+//             [--no-stage-cache]
 //
 // Listens on a Unix-domain socket speaking newline-delimited JSON
 // (request schema "mha.serve.req.v1", response schema
@@ -41,7 +41,7 @@ int usage() {
       stderr,
       "usage: mha-serve --socket=<path> [--max-inflight=N] [--max-queue=N]\n"
       "                 [--drain-ms=MS] [--stage-cache-limit=BYTES]\n"
-      "                 [--no-stage-cache] [--pass-jobs=N]\n"
+      "                 [--no-stage-cache]\n"
       "                 [--metrics-out=m.json] [--metrics-interval=MS]\n"
       "                 [--metrics-prom=m.prom] [--event-log=e.jsonl]\n"
       "                 [--event-log-level=debug|info|warn|error]\n");
@@ -81,7 +81,7 @@ void onSignal(int) {
 int main(int argc, char **argv) {
   serve::ServerOptions options;
   int64_t maxInflight = 2, maxQueue = 8, drainMs = 10000;
-  int64_t stageCacheLimit = 0, passJobs = 1;
+  int64_t stageCacheLimit = 0;
 
   obscli::Options obsOptions;
   for (int i = 1; i < argc; ++i) {
@@ -107,10 +107,7 @@ int main(int argc, char **argv) {
         return usage();
     } else if (arg == "--no-stage-cache")
       options.session.useStageCache = false;
-    else if (startsWith(arg, "--pass-jobs=")) {
-      if (!parseNumericFlag(arg, 12, "--pass-jobs", 1, 4096, passJobs))
-        return usage();
-    } else {
+    else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return usage();
     }
@@ -123,7 +120,6 @@ int main(int argc, char **argv) {
   options.maxQueue = static_cast<int>(maxQueue);
   options.drainMs = drainMs;
   options.stageCacheLimitBytes = stageCacheLimit;
-  options.session.passJobs = static_cast<int>(passJobs);
 
   obscli::Session obs;
   if (!obs.begin(obsOptions))
