@@ -111,6 +111,28 @@ private:
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };
 
+/// Parses `--label=NAME`, which tags a bench's JSON rows with the build
+/// measured ("current" by default) so two builds' rows can share one
+/// BENCH_*.json. Call after JsonReport has consumed `--json`; any other
+/// argument prints the usage and returns false.
+inline bool parseLabel(int argc, char **argv, const char *bench,
+                       std::string &label) {
+  label = "current";
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--label=", 0) == 0 && arg.size() > 8) {
+      label = arg.substr(8);
+    } else {
+      std::fprintf(stderr,
+                   "unknown option %s\nusage: %s [--label=NAME] "
+                   "[--json=FILE]\n",
+                   arg.c_str(), bench);
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The default experiment configuration used across tables (pipeline II=1,
 /// modest partitioning — the "optimized design point" both flows share).
 inline flow::KernelConfig defaultConfig() {

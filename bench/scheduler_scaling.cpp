@@ -18,7 +18,6 @@
 //   scheduler_scaling [--label=NAME] [--json=FILE]
 #include "BenchCommon.h"
 
-#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <chrono>
@@ -64,7 +63,7 @@ RowResult measure(const flow::KernelSpec &spec, int64_t unroll) {
                     std::chrono::steady_clock::now() - start)
                     .count();
     if (rep == 0) { // warm-up
-      for (lir::Function *fn : result.module->functions())
+      for (lir::Function *fn : result.module()->functions())
         for (lir::BasicBlock *bb : fn->blockPtrs())
           row.insts += static_cast<int64_t>(bb->size());
       continue;
@@ -85,19 +84,9 @@ RowResult measure(const flow::KernelSpec &spec, int64_t unroll) {
 
 int main(int argc, char **argv) {
   JsonReport report("scheduler_scaling", argc, argv);
-  std::string label = "current";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (startsWith(arg, "--label=") && arg.size() > 8) {
-      label = arg.substr(8);
-    } else {
-      std::fprintf(stderr, "unknown option %s\n"
-                           "usage: scheduler_scaling [--label=NAME] "
-                           "[--json=FILE]\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
+  std::string label;
+  if (!parseLabel(argc, argv, "scheduler_scaling", label))
+    return 2;
 
   const flow::KernelSpec spec =
       flow::makeLongTripFir("scaling", kTrip, {0.3125, 0.5625, 0.8125});

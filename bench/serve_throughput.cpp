@@ -19,6 +19,10 @@
 // cold p50, when any warm result differs from its cold twin, or when the
 // overload burst produces no typed rejection — the claims EXPERIMENTS.md
 // makes are checked, not assumed.
+//
+// --label tags the rows (e.g. the commit measured), so rows from two
+// builds can share one BENCH_serve.json:
+//   serve_throughput [--label=NAME] [--json=FILE]
 #include "BenchCommon.h"
 
 #include "flow/StageCache.h"
@@ -188,11 +192,12 @@ void printPhase(const char *phase, const PhaseStats &stats, int mismatches) {
               static_cast<long long>(stats.p99Us), mismatches);
 }
 
-void reportPhase(JsonReport &report, const char *phase,
-                 const PhaseStats &stats, int mismatches) {
+void reportPhase(JsonReport &report, const std::string &label,
+                 const char *phase, const PhaseStats &stats, int mismatches) {
   double rps = stats.wallMs > 0 ? stats.requests / (stats.wallMs / 1000.0)
                                 : 0.0;
   report.beginRow();
+  report.field("build", label);
   report.field("phase", phase);
   report.field("requests", stats.requests);
   report.field("ok", stats.ok);
@@ -209,6 +214,9 @@ void reportPhase(JsonReport &report, const char *phase,
 
 int main(int argc, char **argv) {
   JsonReport report("serve_throughput", argc, argv);
+  std::string label;
+  if (!parseLabel(argc, argv, "serve_throughput", label))
+    return 2;
   const int clients = 4;
 
   std::printf("mha-serve throughput: %d concurrent clients\n", clients);
@@ -244,7 +252,7 @@ int main(int argc, char **argv) {
       runPhase(options.socketPath, "c", clients, jobs, coldWallMs);
   PhaseStats coldStats = summarize(cold, coldWallMs);
   printPhase("cold", coldStats, 0);
-  reportPhase(report, "cold", coldStats, 0);
+  reportPhase(report, label, "cold", coldStats, 0);
 
   double warmWallMs = 0;
   std::vector<Sample> warm =
@@ -264,7 +272,7 @@ int main(int argc, char **argv) {
       uncached++;
   }
   printPhase("warm", warmStats, mismatches);
-  reportPhase(report, "warm", warmStats, mismatches);
+  reportPhase(report, label, "warm", warmStats, mismatches);
 
   // Invalid mix: unknown kernels (typed unknown_kernel) and malformed
   // frames (typed parse_error) — every one answered, no connection lost.
@@ -310,7 +318,7 @@ int main(int argc, char **argv) {
   invalidStats.errors = invalidTyped;
   invalidStats.wallMs = invalidWallMs;
   printPhase("invalid", invalidStats, 0);
-  reportPhase(report, "invalid", invalidStats, 0);
+  reportPhase(report, label, "invalid", invalidStats, 0);
 
   server.stop();
 
@@ -378,7 +386,7 @@ int main(int argc, char **argv) {
   overloadStats.busy = burstBusy;
   overloadStats.wallMs = overloadWallMs;
   printPhase("overload", overloadStats, 0);
-  reportPhase(report, "overload", overloadStats, 0);
+  reportPhase(report, label, "overload", overloadStats, 0);
 
   printRule(88);
   double speedup = warmStats.p50Us > 0
@@ -389,6 +397,7 @@ int main(int argc, char **argv) {
               speedup, static_cast<long long>(coldStats.p50Us),
               static_cast<long long>(warmStats.p50Us));
   report.beginRow();
+  report.field("build", label);
   report.field("phase", "summary");
   report.field("warm_p50_speedup", speedup);
   report.field("warm_uncached", uncached);

@@ -292,9 +292,10 @@ QoREstimation::build(const flow::KernelSpec &spec,
 
   const vhls::FunctionReport *baseTop = base.synth.top();
   const vhls::FunctionReport *pipeTop = pipe.synth.top();
-  lir::Function *fn = pipe.topFunction();
+  std::string why;
+  lir::Function *fn = pipe.topFunction(&why);
   if (!fn)
-    return fail("pipelined probe kept no IR for the top function");
+    return fail("pipelined probe kept no IR for the top function: " + why);
   if (baseTop->loops.size() != pipeTop->loops.size())
     return fail("probe reports disagree on loop structure");
 

@@ -23,9 +23,9 @@
 
 namespace mha::flow {
 
-namespace {
-
-/// Everything one flow run threads through its stage table.
+/// Everything one flow run threads through its stage table. Declared in
+/// the flow namespace (not an anonymous one): FlowResult names it a friend
+/// so the stage rows can install and defer the result's module.
 struct FlowState {
   FlowState(const FlowOptions &options, FlowResult &result,
             DiagnosticEngine &diags)
@@ -44,11 +44,17 @@ struct FlowState {
   std::optional<mir::OwnedModule> mir;
   std::string mirText;
   const std::string *lirInput = nullptr; // the direct-LIR entry's input
-  std::string lirText; // bridge output (cache on); addresses synth
   lir::Module *borrowed = nullptr; // synthesizeModule's caller-owned input
 
-  lir::Module &module() { return borrowed ? *borrowed : *result.module; }
+  // The result's IR, private to the flow driver (like `result`, these
+  // reach through a const FlowState).
+  std::unique_ptr<lir::Module> &module() const { return result.module_; }
+  std::unique_ptr<lir::LContext> &context() const { return result.ctx_; }
+  /// The printed bridge output (cache on); addresses synth.
+  std::string &lirText() const { return result.lirText_; }
 };
+
+namespace {
 
 // --- Stage keys ---------------------------------------------------------
 //
@@ -131,7 +137,7 @@ uint64_t hlsCppBridgeKey(const FlowState &s) {
 uint64_t synthKey(const FlowState &s) {
   vhls::SynthesisOptions options = synthOptions(s);
   HashBuilder hb;
-  hb.str("synth").str(s.lirText);
+  hb.str("synth").str(s.lirText());
   const vhls::TargetSpec &t = options.target;
   hb.f64Bits(t.clockPeriodNs).i64(t.memPortsPerBank);
   for (const auto &[fuClass, limit] : t.fuLimits)
@@ -163,10 +169,10 @@ template <typename Fn> bool substage(FlowState &s, const char *name, Fn &&fn) {
 /// module dies first: it must not outlive the context it was built in
 /// (its destructor walks context-owned constants).
 template <typename Build> bool replaceModule(FlowState &s, Build &&build) {
-  s.result.module.reset();
-  s.result.ctx = std::make_unique<lir::LContext>();
-  s.result.module = build(*s.result.ctx);
-  return s.result.module != nullptr;
+  s.module().reset();
+  s.context() = std::make_unique<lir::LContext>();
+  s.module() = build(*s.context());
+  return s.module() != nullptr;
 }
 
 /// Stage 1, the MLIR preparation both flows share (so Table 4's mlirOptMs
@@ -211,7 +217,7 @@ bool runAdaptorPipeline(FlowState &s) {
   return substage(s, "adaptor-pipeline", [&] {
     lir::PassManager pm(/*verifyEach=*/true);
     adaptor::buildAdaptorPipeline(pm, adaptorOptions(s));
-    bool ok = pm.run(*s.result.module, s.diags);
+    bool ok = pm.run(*s.module(), s.diags);
     s.result.adaptorStats = pm.totalStats();
     return ok;
   });
@@ -265,7 +271,7 @@ bool prepareLirBridge(FlowState &s) {
     return false;
   if (s.top.empty()) {
     std::vector<lir::Function *> defs;
-    for (lir::Function *fn : s.result.module->functions())
+    for (lir::Function *fn : s.module()->functions())
       if (!fn->isDeclaration())
         defs.push_back(fn);
     if (defs.size() != 1) {
@@ -275,7 +281,7 @@ bool prepareLirBridge(FlowState &s) {
       return false;
     }
     s.top = defs.front()->name();
-  } else if (!s.result.module->getFunction(s.top)) {
+  } else if (!s.module()->getFunction(s.top)) {
     s.diags.error(strfmt("top function '%s' not found in lir module",
                          s.top.c_str()));
     return false;
@@ -303,8 +309,8 @@ struct BridgeOutput {
 };
 
 Saved saveBridge(FlowState &s) {
-  s.lirText = lir::printModule(*s.result.module);
-  BridgeOutput out{s.lirText, s.result.hlsCpp, s.result.adaptorStats};
+  s.lirText() = lir::printModule(*s.module());
+  BridgeOutput out{s.lirText(), s.result.hlsCpp, s.result.adaptorStats};
   int64_t n = static_cast<int64_t>(sizeof(out) + out.lirText.size() +
                                    out.hlsCpp.size());
   for (const auto &[name, value] : out.adaptorStats)
@@ -312,20 +318,37 @@ Saved saveBridge(FlowState &s) {
   return {std::move(out), n};
 }
 
-/// A bridge hit replaces the whole leg with one lir parse (the module
-/// must live for synthesis and co-simulation).
+/// A bridge hit restores typed values and does no IR work: the result
+/// keeps the cached lir text, which the synth row parses only on a miss
+/// and FlowResult::module() otherwise on first use. A module already in
+/// the result (the direct-LIR entry's pre-adaptor input) is dropped so it
+/// never passes as the flow's output.
 bool restoreBridge(FlowState &s, std::any &value) {
   auto out = std::any_cast<BridgeOutput>(std::move(value));
-  if (!substage(s, "bridge-cache-restore", [&] {
-        return replaceModule(s, [&](lir::LContext &ctx) {
-          return lir::parseModule(out.lirText, ctx, s.diags);
-        });
-      }))
-    return false;
-  s.lirText = std::move(out.lirText);
+  s.module().reset();
+  s.context().reset();
+  s.lirText() = std::move(out.lirText);
   s.result.hlsCpp = std::move(out.hlsCpp);
   s.result.adaptorStats = std::move(out.adaptorStats);
   return true;
+}
+
+/// The synth row's input. After a bridge hit a synth miss is the cached
+/// text's first consumer, so the one parse of a cache hit happens here.
+lir::Module *synthInput(FlowState &s) {
+  if (s.borrowed)
+    return s.borrowed;
+  if (s.module())
+    return s.module().get();
+  lir::Module *module = nullptr;
+  substage(s, "bridge-cache-restore", [&] {
+    std::string error;
+    module = s.result.module(&error);
+    if (!module)
+      s.diags.error(error);
+    return module != nullptr;
+  });
+  return module;
 }
 
 Saved saveSynth(FlowState &s) {
@@ -382,13 +405,17 @@ const StageRow kLirBridgeRow = {
     "bridge", &StageTimings::bridgeMs, nullptr, StageCache::Stage::Bridge,
     prepareLirBridge, lirBridgeKey, runAdaptorPipeline, saveBridge,
     restoreBridge};
-// A synth hit leaves the module in its bridge state (backend unrolling
+// After a bridge hit, a synth hit leaves the module as cached text that
+// FlowResult::module() parses in its bridge state (backend unrolling
 // mutates in place but preserves semantics, so co-simulation holds).
 const StageRow kSynthRow = {
     "synth", &StageTimings::synthMs, "vhls", StageCache::Stage::Synth,
     nullptr, synthKey,
     [](FlowState &s) {
-      s.result.synth = vhls::synthesize(s.module(), synthOptions(s), s.diags);
+      lir::Module *module = synthInput(s);
+      if (!module)
+        return false;
+      s.result.synth = vhls::synthesize(*module, synthOptions(s), s.diags);
       return s.result.synth.accepted;
     },
     saveSynth,
@@ -457,6 +484,8 @@ void runStages(FlowState &s, std::initializer_list<const StageRow *> rows,
       break;
   }
   result.timings.totalMs = total.finish();
+  if (s.module()) // the text addressed synth; a built module supersedes it
+    std::string().swap(s.lirText());
   if (!result.cancelled)
     result.diagnostics = s.diags.str();
   result.ok = ok && !result.cancelled;
@@ -522,19 +551,45 @@ vhls::SynthesisReport synthesizeModule(lir::Module &module,
   s.borrowed = &module;
   s.top = options.synthesis.topFunction;
   if (options.useStageCache)
-    s.lirText = lir::printModule(module);
+    s.lirText() = lir::printModule(module);
   bool hit = false;
   runStage(kSynthRow, s, hit);
   return std::move(result.synth);
 }
 
+lir::Module *FlowResult::module(std::string *error) const {
+  if (!module_ && !lirText_.empty()) {
+    DiagnosticEngine diags;
+    auto ctx = std::make_unique<lir::LContext>();
+    std::unique_ptr<lir::Module> parsed =
+        lir::parseModule(lirText_, *ctx, diags);
+    if (!parsed) {
+      if (error)
+        *error = "cached lir does not parse: " + diags.str();
+      return nullptr;
+    }
+    ctx_ = std::move(ctx);
+    module_ = std::move(parsed);
+    std::string().swap(lirText_);
+  }
+  if (!module_ && error)
+    *error = "no IR in flow result";
+  return module_.get();
+}
+
+lir::Function *FlowResult::topFunction(std::string *error) const {
+  lir::Module *m = module(error);
+  lir::Function *top = m ? m->getFunction(kernelName) : nullptr;
+  if (m && !top && error)
+    *error = "no top function in flow result";
+  return top;
+}
+
 bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,
                            std::string &error) {
-  lir::Function *top = result.topFunction();
-  if (!top) {
-    error = "no top function in flow result";
+  lir::Function *top = result.topFunction(&error);
+  if (!top)
     return false;
-  }
   // Seed identical inputs for device and host.
   Buffers device = makeBuffers(spec);
   seedBuffers(device);
@@ -546,7 +601,7 @@ bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,
     pointers.push_back(buffer.data());
 
   DiagnosticEngine diags;
-  interp::Interpreter interpreter(*result.module);
+  interp::Interpreter interpreter(*result.module());
   auto run = interpreter.run(top, interp::pointerArgs(pointers), diags);
   if (!run) {
     error = "interpreter failed: " + diags.str();

@@ -55,6 +55,11 @@ struct StageSpan {
   double ms = 0;
 };
 
+struct FlowState;
+
+/// One flow run's outputs. A FlowResult is used by one thread at a time,
+/// as BatchRunner, mha-serve and the DSE evaluator do: module() and
+/// topFunction() may build the module inside a const call.
 struct FlowResult {
   bool ok = false;
   /// The run was abandoned at a stage boundary because
@@ -73,13 +78,29 @@ struct FlowResult {
   std::string hlsCpp;          // baseline flow only: the emitted C++
   std::string diagnostics;     // rendered diagnostics (errors/warnings)
 
-  // Final HLS IR (kept alive with its context for co-simulation).
-  std::unique_ptr<lir::LContext> ctx;
-  std::unique_ptr<lir::Module> module;
+  /// The final HLS IR, kept alive with its context for co-simulation.
+  /// After a StageCache bridge hit the result holds only the cached lir
+  /// text: a synth miss parses it, and otherwise the first call here does
+  /// (the bridge-state module an uncached run would hold). Null when the
+  /// flow built no IR or that parse fails; `error`, if given, then says
+  /// why, with the parser's diagnostics.
+  lir::Module *module(std::string *error = nullptr) const;
+  /// The kernel's function in module(); null, with `error` set, when
+  /// there is none.
+  lir::Function *topFunction(std::string *error = nullptr) const;
+  /// Whether the module exists without a parse: false after a full cache
+  /// hit until module() is first called.
+  bool moduleBuilt() const { return module_ != nullptr; }
 
-  lir::Function *topFunction() const {
-    return module ? module->getFunction(kernelName) : nullptr;
-  }
+private:
+  friend struct FlowState;
+  // The printed module: the bridge output while the flow runs with the
+  // cache on (it addresses synth), then pending until module() parses it.
+  mutable std::string lirText_;
+  // The module dies before its context (its destructor walks
+  // context-owned constants).
+  mutable std::unique_ptr<lir::LContext> ctx_;
+  mutable std::unique_ptr<lir::Module> module_;
 };
 
 struct FlowOptions {

@@ -3,6 +3,9 @@
 // produce comparable results (the paper's headline claim).
 #include "flow/Flow.h"
 #include "flow/StageCache.h"
+#include "interp/Interp.h"
+#include "lir/Parser.h"
+#include "lir/Printer.h"
 
 #include <gtest/gtest.h>
 
@@ -265,7 +268,8 @@ TEST(Flow, MlirLevelUnrollThroughCppFlow) {
 
 namespace {
 
-/// A one-function module for the direct-LIR entry.
+/// A one-function module for the direct-LIR entry. The adaptor deletes
+/// the dead `%unused`, so its output differs from the input.
 const char *kLirInput = R"(
 define void @scale16([16 x i64]* noalias %out) {
 entry:
@@ -275,6 +279,7 @@ header:
   %cmp = icmp slt i64 %iv, 16
   br i1 %cmp, label %body, label %exit
 body:
+  %unused = add i64 %iv, 7
   %v = mul i64 %iv, 3
   %p = getelementptr [16 x i64], [16 x i64]* %out, i64 0, i64 %iv
   store i64 %v, i64* %p
@@ -328,11 +333,13 @@ SpanList spanList(const FlowResult &result) {
   return list;
 }
 
-/// How the run meets the cache: off, a cold chain, a fully warm chain,
-/// or a warm mlir stage under a bridge option edit (the bridge misses and
-/// must reparse the cached mir text; the fused pipeline prints the same
-/// lir, so the content-addressed synth stage still hits).
-enum class Temperature { Off, Cold, Warm, BridgeEdit };
+/// How the run meets the cache: off, a cold chain, a fully warm chain
+/// (no IR work: the bridge hit keeps its lir text unparsed), a warm mlir
+/// stage under a bridge option edit (the bridge misses and must reparse
+/// the cached mir text; the pipeline prints the same lir, so the
+/// content-addressed synth stage still hits), or a warm chain under a
+/// synthesis option edit (the synth miss parses the cached lir, once).
+enum class Temperature { Off, Cold, Warm, BridgeEdit, SynthEdit };
 
 struct SpanCase {
   const char *label;
@@ -359,9 +366,7 @@ const std::vector<SpanCase> &spanCases() {
         {"synth", "vhls"}},
        {0, 1, 0, 1, 0, 1}},
       {"adaptor_warm", Entry::Adaptor, Temperature::Warm,
-       {{"mlirOpt", "prepare-mlir"},
-        {"bridge", "bridge-cache-restore"},
-        {"synth", "vhls"}},
+       {{"mlirOpt", "prepare-mlir"}, {"synth", "vhls"}},
        {1, 0, 1, 0, 1, 0}},
       {"adaptor_bridge_edit", Entry::Adaptor, Temperature::BridgeEdit,
        {{"mlirOpt", "prepare-mlir"},
@@ -371,6 +376,11 @@ const std::vector<SpanCase> &spanCases() {
         {"bridge", "adaptor-pipeline"},
         {"synth", "vhls"}},
        {1, 0, 0, 1, 1, 0}},
+      {"adaptor_synth_edit", Entry::Adaptor, Temperature::SynthEdit,
+       {{"mlirOpt", "prepare-mlir"},
+        {"synth", "bridge-cache-restore"},
+        {"synth", "vhls"}},
+       {1, 0, 1, 0, 0, 1}},
       {"hlscpp_off", Entry::HlsCpp, Temperature::Off,
        {{"mlirOpt", "prepare-mlir"},
         {"bridge", "emit-hls-cpp"},
@@ -384,9 +394,7 @@ const std::vector<SpanCase> &spanCases() {
         {"synth", "vhls"}},
        {0, 1, 0, 1, 0, 1}},
       {"hlscpp_warm", Entry::HlsCpp, Temperature::Warm,
-       {{"mlirOpt", "prepare-mlir"},
-        {"bridge", "bridge-cache-restore"},
-        {"synth", "vhls"}},
+       {{"mlirOpt", "prepare-mlir"}, {"synth", "vhls"}},
        {1, 0, 1, 0, 1, 0}},
       {"lir_off", Entry::Lir, Temperature::Off,
        {{"bridge", "parse-lir"},
@@ -399,9 +407,7 @@ const std::vector<SpanCase> &spanCases() {
         {"synth", "vhls"}},
        {0, 0, 0, 1, 0, 1}},
       {"lir_warm", Entry::Lir, Temperature::Warm,
-       {{"bridge", "parse-lir"},
-        {"bridge", "bridge-cache-restore"},
-        {"synth", "vhls"}},
+       {{"bridge", "parse-lir"}, {"synth", "vhls"}},
        {0, 0, 1, 0, 1, 0}},
   };
   return cases;
@@ -424,13 +430,15 @@ TEST_P(FlowSpans, PinsSpanSequenceAndCacheTraffic) {
   FlowOptions options;
   options.useStageCache = c.temperature != Temperature::Off;
   StageCache::global().clear();
-  if (c.temperature == Temperature::Warm ||
-      c.temperature == Temperature::BridgeEdit) {
+  if (c.temperature != Temperature::Off &&
+      c.temperature != Temperature::Cold) {
     FlowResult seed = runEntry(c.entry, options);
     ASSERT_TRUE(seed.ok) << seed.diagnostics;
   }
   if (c.temperature == Temperature::BridgeEdit)
     options.adaptor.inlineBudget = 255;
+  if (c.temperature == Temperature::SynthEdit)
+    options.synthesis.target.clockPeriodNs = 5.0;
 
   CacheTraffic before = cacheTraffic();
   FlowResult result = runEntry(c.entry, options);
@@ -510,6 +518,74 @@ TEST(Flow, CancelDuringLastStageStillCompletes) {
   FlowResult result = runEntry(Entry::Adaptor, options);
   EXPECT_TRUE(result.ok) << result.diagnostics;
   EXPECT_FALSE(result.cancelled);
+}
+
+// A full hit does no IR work: the result keeps the cached lir text until
+// something asks for the module, which is then the bridge-state module the
+// cold run built — never the direct-LIR entry's pre-adaptor input.
+TEST(Flow, FullHitBuildsModuleOnFirstUse) {
+  // The parser lays blocks out in first-reference order, so a module is
+  // compared with the bridge text through the same parse.
+  auto reprint = [](const std::string &text) {
+    lir::LContext ctx;
+    DiagnosticEngine diags;
+    std::unique_ptr<lir::Module> module = lir::parseModule(text, ctx, diags);
+    EXPECT_NE(module, nullptr) << diags.str();
+    return module ? lir::printModule(*module) : diags.str();
+  };
+  const std::string inputText = reprint(kLirInput);
+
+  for (Entry entry : {Entry::Adaptor, Entry::HlsCpp, Entry::Lir}) {
+    SCOPED_TRACE("entry " + std::to_string(static_cast<int>(entry)));
+    StageCache::global().clear();
+    FlowOptions options;
+    options.useStageCache = true;
+
+    // A cold run stopped before synth holds the bridge output untouched.
+    std::atomic<bool> cancel{false};
+    FlowOptions stopBeforeSynth = options;
+    stopBeforeSynth.cancelFlag = &cancel;
+    stopBeforeSynth.onStage = [&](const char *stage) {
+      if (std::string(stage) == "bridge")
+        cancel.store(true);
+    };
+    FlowResult cold = runEntry(entry, stopBeforeSynth);
+    ASSERT_TRUE(cold.cancelled);
+    ASSERT_TRUE(cold.moduleBuilt());
+    const std::string bridgeText = reprint(lir::printModule(*cold.module()));
+    if (entry == Entry::Lir) {
+      ASSERT_NE(bridgeText, inputText);
+    }
+
+    FlowResult synthMiss = runEntry(entry, options);
+    ASSERT_TRUE(synthMiss.ok) << synthMiss.diagnostics;
+    EXPECT_FALSE(synthMiss.synthFromCache);
+    EXPECT_TRUE(synthMiss.moduleBuilt());
+
+    FlowResult warm = runEntry(entry, options);
+    ASSERT_TRUE(warm.ok) << warm.diagnostics;
+    EXPECT_TRUE(warm.synthFromCache);
+    EXPECT_FALSE(warm.moduleBuilt());
+    std::string error;
+    lir::Function *top = warm.topFunction(&error);
+    ASSERT_NE(top, nullptr) << error;
+    EXPECT_TRUE(warm.moduleBuilt());
+    EXPECT_EQ(lir::printModule(*warm.module()), bridgeText);
+
+    if (entry != Entry::Lir) {
+      EXPECT_TRUE(cosimAgainstReference(warm, *findKernel("gemm"), error))
+          << error;
+      continue;
+    }
+    std::array<int64_t, 16> out{};
+    DiagnosticEngine diags;
+    interp::Interpreter interpreter(*warm.module());
+    ASSERT_TRUE(interpreter.run(top, interp::pointerArgs({out.data()}), diags))
+        << diags.str();
+    for (size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i], static_cast<int64_t>(3 * i)) << "element " << i;
+  }
+  StageCache::global().clear();
 }
 
 TEST(Flow, FailedFlowClosesTotalWindow) {
