@@ -146,7 +146,12 @@ int main(int argc, char **argv) {
     // Incremental-recompilation trajectory: the same batch twice with the
     // stage cache on. The first (cold) run populates the cache, the second
     // (warm) run answers every stage from it — the warm/cold ratio is the
-    // recompile speedup a no-op rebuild sees.
+    // recompile speedup a no-op rebuild sees. Both run one job at a time on
+    // a one-thread pool: a warm job takes microseconds, so concurrent jobs'
+    // dispatch would otherwise dominate the summed wall times.
+    ThreadPool serialPool(1);
+    flow::BatchOptions serial;
+    serial.pool = &serialPool;
     for (flow::FlowKind kind :
          {flow::FlowKind::Adaptor, flow::FlowKind::HlsCpp}) {
       const char *flowName =
@@ -161,7 +166,7 @@ int main(int argc, char **argv) {
       double totals[2] = {0, 0};
       for (int pass = 0; pass < 2; ++pass) {
         const char *mode = pass == 0 ? "cold" : "warm";
-        flow::BatchOutcome out = flow::runBatch(jobs, poolOptions());
+        flow::BatchOutcome out = flow::runBatch(jobs, serial);
         if (out.trace.failures != 0) {
           std::fprintf(stderr, "table4: cached batch had failures\n");
           return 1;

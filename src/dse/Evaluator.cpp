@@ -13,18 +13,17 @@ namespace mha::dse {
 
 namespace {
 
-telemetry::Statistic numSynthRuns("dse", "synth-runs",
-                                  "design points synthesized");
-telemetry::Statistic numCacheHits("dse", "cache-hits",
-                                  "design points answered from the QoR cache");
-telemetry::Statistic numCacheWaits("dse", "cache-waits",
-                                   "cache hits that blocked on an in-flight "
-                                   "synthesis of the same point");
-telemetry::Statistic numEstimates("dse", "estimates",
-                                  "design points scored analytically");
-telemetry::Statistic numProbeRuns("dse", "probe-runs",
-                                  "synthesis runs spent building the "
-                                  "QoR estimator");
+metrics::Counter &numSynthRuns =
+    metrics::statistic("dse", "synth-runs", "design points synthesized");
+metrics::Counter &numCacheHits = metrics::statistic(
+    "dse", "cache-hits", "design points answered from the QoR cache");
+metrics::Counter &numCacheWaits = metrics::statistic(
+    "dse", "cache-waits",
+    "cache hits that blocked on an in-flight synthesis of the same point");
+metrics::Counter &numEstimates =
+    metrics::statistic("dse", "estimates", "design points scored analytically");
+metrics::Counter &numProbeRuns = metrics::statistic(
+    "dse", "probe-runs", "synthesis runs spent building the QoR estimator");
 
 /// Evaluator latency histograms: where a design point's answer came from
 /// and what it cost. synth = a full virtual-synthesis flow run; estimate
@@ -170,8 +169,8 @@ const QoREstimation *Evaluator::estimator(bool buildIfNeeded) {
       probeRuns_ += probes;
       synthRuns_ += probes;
     }
-    numProbeRuns += probes;
-    numSynthRuns += probes;
+    numProbeRuns.add(probes);
+    numSynthRuns.add(probes);
     if (estimator_) {
       seedProbe(estimator_->baselineProbeConfig(),
                 estimator_->baselineProbeQoR());

@@ -1,7 +1,6 @@
 #include "flow/StageCache.h"
 
 #include "support/Metrics.h"
-#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <list>
@@ -16,31 +15,20 @@ using Stage = StageCache::Stage;
 
 size_t slot(Stage stage) { return static_cast<size_t>(stage); }
 
-/// The stage's label in statistics and metrics.
+/// The stage's label in metrics.
 const char *stageName(Stage stage) {
   static const char *const names[] = {"mlir", "bridge", "synth"};
   return names[slot(stage)];
 }
-
-telemetry::Statistic statHit[StageCache::kNumStages] = {
-    {"flow.cache", "mlir.hit", "MLIR-stage cache hits"},
-    {"flow.cache", "bridge.hit", "bridge-stage cache hits"},
-    {"flow.cache", "synth.hit", "synthesis-stage cache hits"}};
-telemetry::Statistic statMiss[StageCache::kNumStages] = {
-    {"flow.cache", "mlir.miss", "MLIR-stage cache misses"},
-    {"flow.cache", "bridge.miss", "bridge-stage cache misses"},
-    {"flow.cache", "synth.miss", "synthesis-stage cache misses"}};
-telemetry::Statistic statEvicted("flow.cache", "evicted",
-                                 "stage-cache entries evicted (LRU)");
 
 /// Per-stage entry-count backstop, independent of the byte cap: even an
 /// unlimited cache sheds a stage's coldest entry once that stage holds
 /// this many entries.
 constexpr size_t kMaxEntriesPerStage = 4096;
 
-/// Per-stage metrics-registry handles (hit/miss/eviction counters gated
-/// on metrics::enabled(); the resident-bytes gauge tracks the structural
-/// byte total unconditionally so it always matches counters()).
+/// Per-stage metrics-registry handles: the hit/miss/eviction counters are
+/// the only record of lookups, and the resident-bytes gauge mirrors the
+/// structural byte total the cap is enforced against.
 struct StageMetrics {
   metrics::Counter &hits;
   metrics::Counter &misses;
@@ -84,21 +72,23 @@ struct StageCache::Impl {
   mutable std::mutex mutex;
   Lru lru;
   std::array<std::unordered_map<uint64_t, Lru::iterator>, kNumStages> index;
-  Counters counters;
+  std::array<int64_t, kNumStages> bytes{}; // resident payload per stage
+  int64_t totalBytes = 0;
   int64_t limitBytes = 0; // 0 = unbounded
 
-  /// Drops `it`, keeping the byte totals and the resident-bytes gauge in
-  /// step; `evicted` also counts it as an LRU eviction.
+  /// Adds `delta` to `stage`'s resident bytes and its gauge.
+  void charge(Stage stage, int64_t delta) {
+    bytes[slot(stage)] += delta;
+    totalBytes += delta;
+    stageMetrics(stage).bytes.set(bytes[slot(stage)]);
+  }
+
+  /// Drops `it`, keeping the byte totals in step; `evicted` also counts
+  /// it as an LRU eviction.
   void erase(Lru::iterator it, bool evicted) {
-    StageCounters &c = counters[it->stage];
-    StageMetrics &sm = stageMetrics(it->stage);
-    c.bytes -= it->bytes;
-    sm.bytes.set(c.bytes);
-    if (evicted) {
-      ++c.evictions;
-      ++sm.evictions;
-      ++statEvicted;
-    }
+    charge(it->stage, -it->bytes);
+    if (evicted)
+      ++stageMetrics(it->stage).evictions;
     index[slot(it->stage)].erase(it->key);
     lru.erase(it);
   }
@@ -106,7 +96,7 @@ struct StageCache::Impl {
   /// Evicts globally-coldest entries until the total payload fits the
   /// byte cap again.
   void enforceLimit() {
-    while (limitBytes > 0 && counters.bytes() > limitBytes && !lru.empty())
+    while (limitBytes > 0 && totalBytes > limitBytes && !lru.empty())
       erase(std::prev(lru.end()), /*evicted=*/true);
   }
 };
@@ -124,21 +114,15 @@ StageCache &StageCache::global() {
 bool StageCache::lookup(Stage stage, uint64_t key, std::any &value) {
   Impl &i = impl();
   std::lock_guard<std::mutex> guard(i.mutex);
-  StageCounters &c = i.counters[stage];
-  StageMetrics &sm = stageMetrics(stage);
   auto &index = i.index[slot(stage)];
   auto it = index.find(key);
   if (it == index.end()) {
-    ++statMiss[slot(stage)];
-    ++c.misses;
-    ++sm.misses;
+    ++stageMetrics(stage).misses;
     return false;
   }
   i.lru.splice(i.lru.begin(), i.lru, it->second); // refresh recency
   value = it->second->value;
-  ++statHit[slot(stage)];
-  ++c.hits;
-  ++sm.hits;
+  ++stageMetrics(stage).hits;
   return true;
 }
 
@@ -159,9 +143,7 @@ void StageCache::store(Stage stage, uint64_t key, std::any value,
   }
   i.lru.push_front({stage, key, std::move(value), bytes});
   index.emplace(key, i.lru.begin());
-  StageCounters &c = i.counters[stage];
-  c.bytes += bytes;
-  stageMetrics(stage).bytes.set(c.bytes);
+  i.charge(stage, bytes);
   i.enforceLimit();
 }
 
@@ -181,7 +163,13 @@ int64_t StageCache::limitBytes() const {
 StageCache::Counters StageCache::counters() const {
   Impl &i = impl();
   std::lock_guard<std::mutex> guard(i.mutex);
-  return i.counters;
+  Counters out;
+  for (Stage stage : {Stage::Mlir, Stage::Bridge, Stage::Synth}) {
+    StageMetrics &sm = stageMetrics(stage);
+    out[stage] = {sm.hits.value(), sm.misses.value(), i.bytes[slot(stage)],
+                  sm.evictions.value()};
+  }
+  return out;
 }
 
 void StageCache::clear() {
@@ -190,9 +178,13 @@ void StageCache::clear() {
   i.lru.clear();
   for (auto &index : i.index)
     index.clear();
-  i.counters = Counters();
-  for (Stage stage : {Stage::Mlir, Stage::Bridge, Stage::Synth})
-    stageMetrics(stage).bytes.set(0);
+  for (Stage stage : {Stage::Mlir, Stage::Bridge, Stage::Synth}) {
+    StageMetrics &sm = stageMetrics(stage);
+    sm.hits.reset();
+    sm.misses.reset();
+    sm.evictions.reset();
+    i.charge(stage, -i.bytes[slot(stage)]);
+  }
 }
 
 size_t StageCache::size() const {

@@ -21,9 +21,10 @@
 // per-stage entry-count backstop and an optional process-wide byte cap
 // (setLimitBytes, `--stage-cache-limit` on mha-serve). Hits and stores
 // refresh recency and the cap evicts the globally coldest entry, so a
-// resident daemon converges on its hot working set. Hit/miss/eviction
-// counts land in the "flow.cache" statistic group (--stats) and in
-// counters().
+// resident daemon converges on its hot working set. Each hit, miss or
+// eviction bumps exactly one metrics counter
+// (mha_stage_cache_{hits,misses,evictions}_total{stage=...}); counters()
+// reads those back alongside the resident byte totals the cap needs.
 #pragma once
 
 #include <any>
@@ -48,8 +49,8 @@ public:
     int64_t hits = 0, misses = 0, bytes = 0, evictions = 0;
   };
 
-  /// Structural snapshot, per stage and in total (mirrors the
-  /// "flow.cache" statistics and the mha_stage_cache_* metrics).
+  /// Per-stage and total view: lookups and evictions read from the
+  /// mha_stage_cache_* counters, bytes from the cache itself.
   struct Counters {
     std::array<StageCounters, kNumStages> stages;
 
@@ -97,8 +98,8 @@ public:
 
   Counters counters() const;
 
-  /// Drops every entry and zeroes the structural counters (tests; the
-  /// "flow.cache" statistics follow the global telemetry reset instead).
+  /// Drops every entry and zeroes the byte totals and the
+  /// mha_stage_cache_* counters.
   void clear();
 
   /// Total cached entries across all stages.

@@ -504,6 +504,7 @@ private:
     expect(Tok::LBrace, "'{'");
     values_.clear();
     blocks_.clear();
+    lastDefined_ = fn->end();
     forwardRefs_.clear();
     for (unsigned i = 0; i < fn->numArgs(); ++i)
       values_["%" + fn->arg(i)->name()] = fn->arg(i);
@@ -518,7 +519,9 @@ private:
         Token first = lex_.take();
         if (lex_.cur().kind == Tok::Colon) {
           lex_.advance();
-          curBB = getBlock(fn, first.text);
+          curBB = defineBlock(fn, first);
+          if (!curBB)
+            return;
           builder.setInsertPoint(curBB);
           continue;
         }
@@ -547,6 +550,9 @@ private:
     }
     expect(Tok::RBrace, "'}'");
 
+    for (const auto &[name2, slot] : blocks_)
+      if (!slot.defined)
+        diags_.error(strfmt("use of undefined label %%%s", name2.c_str()));
     for (auto &[name2, placeholder] : forwardRefs_) {
       diags_.error(strfmt("use of undefined value %%%s", name2.c_str()));
       // Keep the IR destructible despite the error.
@@ -555,12 +561,39 @@ private:
     forwardRefs_.clear();
   }
 
+  /// The block named `name`, created (at the end of the layout) when a
+  /// branch or phi names it before its label.
   BasicBlock *getBlock(Function *fn, const std::string &name) {
-    auto it = blocks_.find(name);
-    if (it != blocks_.end())
-      return it->second;
-    BasicBlock *bb = fn->createBlock(name);
-    blocks_[name] = bb;
+    BlockSlot &slot = blocks_[name];
+    if (!slot.block)
+      slot.block = fn->createBlock(name);
+    return slot.block;
+  }
+
+  /// Handles the label `label:`. Blocks are laid out in definition order,
+  /// so printing a parsed function reproduces its text: a block a forward
+  /// reference created early moves to just after the previous label's
+  /// block. Returns null after diagnosing a redefinition.
+  BasicBlock *defineBlock(Function *fn, const Token &label) {
+    BlockSlot &slot = blocks_[label.text];
+    if (slot.defined) {
+      diags_.error(strfmt("redefinition of label %%%s", label.text.c_str()),
+                   label.loc);
+      return nullptr;
+    }
+    slot.defined = true;
+    if (!slot.block)
+      slot.block = fn->createBlock(label.text);
+    BasicBlock *bb = slot.block;
+    // No instruction precedes the first label, so nothing can reference a
+    // block before the entry block exists: the entry is always first.
+    if (lastDefined_ == fn->end()) {
+      lastDefined_ = fn->begin();
+      return bb;
+    }
+    if (std::next(lastDefined_)->get() != bb)
+      fn->moveBlockAfter(bb, lastDefined_->get());
+    ++lastDefined_;
     return bb;
   }
 
@@ -830,7 +863,12 @@ private:
   DiagnosticEngine &diags_;
   Module *module_ = nullptr;
   std::map<std::string, Value *> values_;
-  std::map<std::string, BasicBlock *> blocks_;
+  struct BlockSlot {
+    BasicBlock *block = nullptr;
+    bool defined = false; // its label has been seen
+  };
+  std::map<std::string, BlockSlot> blocks_;
+  Function::iterator lastDefined_; // the last label's block in the layout
   std::map<std::string, std::unique_ptr<Instruction>> forwardRefs_;
 };
 

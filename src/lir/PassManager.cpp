@@ -8,6 +8,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 
 namespace mha::lir {
@@ -64,7 +65,6 @@ void PrintIRInstrumentation::afterPass(const ModulePass &pass,
 
 bool PassManager::run(Module &module, DiagnosticEngine &diags) {
   records_.clear();
-  telemetry::Tracer &tracer = telemetry::Tracer::global();
   for (auto &pass : passes_) {
     PassRunRecord record;
     record.passName = pass->name();
@@ -75,11 +75,9 @@ bool PassManager::run(Module &module, DiagnosticEngine &diags) {
     record.changed = pass->run(module, record.stats, diags);
     record.millis = span.finish();
     metrics::recordPassDuration("lir", record.passName,
-                                static_cast<int64_t>(record.millis * 1000.0));
+                                std::llround(record.millis * 1000.0),
+                                record.changed);
     countModuleSize(module, record.instsAfter, record.blocksAfter);
-    if (tracer.timePassesEnabled())
-      tracer.recordPassTime("lir", record.passName, record.millis,
-                            record.changed);
     for (auto it = instrumentations_.rbegin(); it != instrumentations_.rend();
          ++it)
       (*it)->afterPass(*pass, module, record);
@@ -89,10 +87,13 @@ bool PassManager::run(Module &module, DiagnosticEngine &diags) {
                         pass->name().c_str()));
       return false;
     }
-    if (verifyEach_ && !verifyModule(module, diags)) {
-      diags.note(strfmt("IR verification failed after pass '%s'",
-                        pass->name().c_str()));
-      return false;
+    if (verifyEach_) {
+      telemetry::Span verifySpan("verify", "lir-verify");
+      if (!verifyModule(module, diags)) {
+        diags.note(strfmt("IR verification failed after pass '%s'",
+                          pass->name().c_str()));
+        return false;
+      }
     }
   }
   return true;

@@ -1,7 +1,7 @@
 #include "lir/Function.h"
 #include "lir/analysis/Dominators.h"
 #include "lir/transforms/Transforms.h"
-#include "support/Telemetry.h"
+#include "support/Metrics.h"
 
 #include <functional>
 #include <map>
@@ -11,8 +11,8 @@ namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numEliminated("cse", "eliminated",
-                                   "redundant instructions eliminated");
+metrics::Counter &numEliminated = metrics::statistic(
+    "cse", "eliminated", "redundant instructions eliminated");
 
 /// Structural key for pure instructions. Commutative binops canonicalize
 /// operand order by pointer so a+b and b+a unify.

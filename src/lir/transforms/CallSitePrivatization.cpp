@@ -14,8 +14,8 @@
 #include "lir/Utils.h"
 #include "lir/analysis/CallGraph.h"
 #include "lir/transforms/Transforms.h"
+#include "support/Metrics.h"
 #include "support/StringUtils.h"
-#include "support/Telemetry.h"
 
 #include <map>
 #include <vector>
@@ -24,8 +24,8 @@ namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numClones("privatize", "clones",
-                               "callee clones created per call-site group");
+metrics::Counter &numClones = metrics::statistic(
+    "privatize", "clones", "callee clones created per call-site group");
 
 class CallSitePrivatization : public ModulePass {
 public:

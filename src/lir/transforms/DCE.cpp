@@ -1,13 +1,13 @@
 #include "lir/Function.h"
 #include "lir/transforms/Transforms.h"
-#include "support/Telemetry.h"
+#include "support/Metrics.h"
 
 namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numRemoved("dce", "removed",
-                                "dead instructions removed");
+metrics::Counter &numRemoved =
+    metrics::statistic("dce", "removed", "dead instructions removed");
 
 class DCE : public FunctionPass {
 public:

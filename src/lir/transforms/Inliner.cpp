@@ -13,8 +13,8 @@
 #include "lir/Utils.h"
 #include "lir/analysis/CallGraph.h"
 #include "lir/transforms/Transforms.h"
+#include "support/Metrics.h"
 #include "support/StringUtils.h"
-#include "support/Telemetry.h"
 
 #include <map>
 #include <set>
@@ -24,7 +24,8 @@ namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numInlined("inline", "inlined", "call sites inlined");
+metrics::Counter &numInlined =
+    metrics::statistic("inline", "inlined", "call sites inlined");
 
 unsigned bodySize(Function *fn) {
   unsigned size = 0;

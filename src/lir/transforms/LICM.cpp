@@ -2,7 +2,7 @@
 #include "lir/analysis/Dominators.h"
 #include "lir/analysis/LoopInfo.h"
 #include "lir/transforms/Transforms.h"
-#include "support/Telemetry.h"
+#include "support/Metrics.h"
 
 #include <set>
 
@@ -10,8 +10,8 @@ namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numHoisted("licm", "hoisted",
-                                "loop-invariant instructions hoisted");
+metrics::Counter &numHoisted = metrics::statistic(
+    "licm", "hoisted", "loop-invariant instructions hoisted");
 
 class LICM : public FunctionPass {
 public:

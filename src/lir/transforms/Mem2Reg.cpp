@@ -3,7 +3,7 @@
 #include "lir/LContext.h"
 #include "lir/analysis/Dominators.h"
 #include "lir/transforms/Transforms.h"
-#include "support/Telemetry.h"
+#include "support/Metrics.h"
 
 #include <map>
 #include <set>
@@ -12,8 +12,8 @@ namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numPromoted("mem2reg", "promoted",
-                                 "allocas promoted to SSA registers");
+metrics::Counter &numPromoted = metrics::statistic(
+    "mem2reg", "promoted", "allocas promoted to SSA registers");
 
 /// An alloca is promotable when every use is a load of the allocated type
 /// or a store of a value of that type *to* it (never storing the pointer
@@ -76,7 +76,7 @@ public:
     for (Instruction *alloca : allocas)
       promote(fn, *alloca, domTree, frontier);
     stats["mem2reg.promoted"] += static_cast<int64_t>(allocas.size());
-    numPromoted += static_cast<int64_t>(allocas.size());
+    numPromoted.add(static_cast<int64_t>(allocas.size()));
     return true;
   }
 

@@ -26,8 +26,8 @@
 #include "lir/Utils.h"
 #include "lir/analysis/CallGraph.h"
 #include "lir/transforms/Transforms.h"
+#include "support/Metrics.h"
 #include "support/StringUtils.h"
-#include "support/Telemetry.h"
 
 #include <cstdlib>
 #include <cstring>
@@ -39,8 +39,8 @@ namespace mha::lir {
 
 namespace {
 
-telemetry::Statistic numRewritten("rec2iter", "rewritten",
-                                  "self-recursive functions rewritten");
+metrics::Counter &numRewritten = metrics::statistic(
+    "rec2iter", "rewritten", "self-recursive functions rewritten");
 
 constexpr const char *DepthAttrPrefix = "mha.rec_depth=";
 

@@ -6,6 +6,8 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <cmath>
+
 namespace mha::mir {
 
 int64_t countOps(ModuleOp module) {
@@ -16,7 +18,6 @@ int64_t countOps(ModuleOp module) {
 
 bool MPassManager::run(ModuleOp module, DiagnosticEngine &diags) {
   records_.clear();
-  telemetry::Tracer &tracer = telemetry::Tracer::global();
   for (auto &pass : passes_) {
     MPassRecord record;
     record.passName = pass->name();
@@ -27,11 +28,9 @@ bool MPassManager::run(ModuleOp module, DiagnosticEngine &diags) {
     record.changed = pass->run(module, record.stats, diags);
     record.millis = span.finish();
     metrics::recordPassDuration("mir", record.passName,
-                                static_cast<int64_t>(record.millis * 1000.0));
+                                std::llround(record.millis * 1000.0),
+                                record.changed);
     record.opsAfter = countOps(module);
-    if (tracer.timePassesEnabled())
-      tracer.recordPassTime("mir", record.passName, record.millis,
-                            record.changed);
     for (auto it = instrumentations_.rbegin(); it != instrumentations_.rend();
          ++it)
       (*it)->afterPass(*pass, module, record);
@@ -41,10 +40,13 @@ bool MPassManager::run(ModuleOp module, DiagnosticEngine &diags) {
                         pass->name().c_str()));
       return false;
     }
-    if (verifyEach_ && !verifyModule(module, diags)) {
-      diags.note(strfmt("MLIR verification failed after pass '%s'",
-                        pass->name().c_str()));
-      return false;
+    if (verifyEach_) {
+      telemetry::Span verifySpan("verify", "mir-verify");
+      if (!verifyModule(module, diags)) {
+        diags.note(strfmt("MLIR verification failed after pass '%s'",
+                          pass->name().c_str()));
+        return false;
+      }
     }
   }
   return true;

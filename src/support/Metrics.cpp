@@ -18,6 +18,10 @@ namespace {
 
 std::atomic<bool> gEnabled{false};
 
+/// The metric family every statistic() counter belongs to. Its labels are
+/// {group, name}, and the registry key orders them by (group, name).
+constexpr std::string_view kStatName = "mha_stat";
+
 /// Renders "name{k1=\"v1\",k2=\"v2\"}" — the registry key and the
 /// Prometheus sample name in one.
 std::string renderKey(std::string_view name, const Labels &labels) {
@@ -241,9 +245,14 @@ Snapshot Registry::snapshot() const {
     out.uptimeMs = std::chrono::duration<double, std::milli>(
                        telemetry::Clock::now() - i.epoch)
                        .count();
-    for (const auto &[key, entry] : i.counters)
-      out.counters.push_back(
-          {entry.name, entry.labels, entry.help, entry.metric->value()});
+    for (const auto &[key, entry] : i.counters) {
+      CounterSnapshot c{entry.name, entry.labels, entry.help,
+                        entry.metric->value()};
+      if (entry.name != kStatName)
+        out.counters.push_back(std::move(c));
+      else if (c.value != 0)
+        out.stats.push_back(std::move(c));
+    }
     for (const auto &[key, entry] : i.gauges)
       out.gauges.push_back(
           {entry.name, entry.labels, entry.help, entry.metric->value()});
@@ -251,10 +260,6 @@ Snapshot Registry::snapshot() const {
       out.histograms.push_back(
           {entry.name, entry.labels, entry.help, entry.metric->merged()});
   }
-  // One walk of the telemetry registry feeds both this snapshot and
-  // --stats (same non-zero filter), so the two reports cannot diverge.
-  for (const telemetry::StatisticValue &stat : telemetry::statisticValues())
-    out.stats.push_back({stat.group, stat.name, stat.value});
   return out;
 }
 
@@ -330,10 +335,11 @@ std::string Snapshot::json() const {
   }
   os << "\n  ],\n  \"stats\": [";
   for (size_t i = 0; i < stats.size(); ++i) {
-    const StatSnapshot &s = stats[i];
+    const CounterSnapshot &s = stats[i];
     os << (i ? ",\n    " : "\n    ") << "{\"group\": \""
-       << json::escape(s.group) << "\", \"name\": \"" << json::escape(s.name)
-       << "\", \"value\": " << s.value << "}";
+       << json::escape(s.labels[0].second) << "\", \"name\": \""
+       << json::escape(s.labels[1].second) << "\", \"value\": " << s.value
+       << "}";
   }
   os << "\n  ]\n}\n";
   return os.str();
@@ -391,9 +397,8 @@ std::string Snapshot::prometheus() const {
   }
   if (!stats.empty()) {
     os << "# TYPE mha_stat counter\n";
-    for (const StatSnapshot &s : stats)
-      os << "mha_stat{group=\"" << json::escape(s.group) << "\",name=\""
-         << json::escape(s.name) << "\"} " << s.value << "\n";
+    for (const CounterSnapshot &s : stats)
+      os << sampleName(s.name, s.labels) << " " << s.value << "\n";
   }
   return os.str();
 }
@@ -437,15 +442,83 @@ bool Registry::writePrometheusFile(const std::string &path,
   return writeTextFile(path, snapshot().prometheus(), error);
 }
 
+Counter &statistic(std::string_view group, std::string_view name,
+                   std::string_view description) {
+  return Registry::global().counter(
+      kStatName, description,
+      {{"group", std::string(group)}, {"name", std::string(name)}});
+}
+
+std::string statisticsReport() {
+  Snapshot snap = Registry::global().snapshot();
+  if (snap.stats.empty())
+    return "";
+  std::ostringstream os;
+  os << "=== statistics ===\n";
+  for (const CounterSnapshot &s : snap.stats)
+    os << strfmt("%10lld %s.%s - %s\n", static_cast<long long>(s.value),
+                 s.labels[0].second.c_str(), s.labels[1].second.c_str(),
+                 s.help.c_str());
+  return os.str();
+}
+
 void recordPassDuration(std::string_view pipeline, std::string_view pass,
-                        int64_t us) {
+                        int64_t us, bool changed) {
   if (!enabled())
     return;
   Registry::global()
       .histogram("mha_pass_duration_us", "per-pass execution time",
                  {{"pipeline", std::string(pipeline)},
-                  {"pass", std::string(pass)}})
+                  {"pass", std::string(pass)},
+                  {"changed", changed ? "true" : "false"}})
       .recordAlways(us);
+}
+
+std::string passTimesTable() {
+  struct Row {
+    std::string pipeline, pass;
+    int64_t runs = 0, changed = 0, totalUs = 0;
+  };
+  // One row per (pipeline, pass), merging its changed="false"/"true"
+  // series.
+  std::vector<Row> rows;
+  int64_t grandUs = 0;
+  for (const HistogramSnapshot &h : Registry::global().snapshot().histograms) {
+    if (h.name != "mha_pass_duration_us" || h.merged.count == 0)
+      continue;
+    const std::string &pipeline = h.labels[0].second;
+    const std::string &pass = h.labels[1].second;
+    auto it = std::find_if(rows.begin(), rows.end(), [&](const Row &row) {
+      return row.pipeline == pipeline && row.pass == pass;
+    });
+    Row &row = it != rows.end() ? *it : rows.emplace_back(Row{pipeline, pass});
+    row.runs += h.merged.count;
+    row.changed += h.labels[2].second == "true" ? h.merged.count : 0;
+    row.totalUs += h.merged.sum;
+    grandUs += h.merged.sum;
+  }
+  if (rows.empty())
+    return "";
+  std::stable_sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
+    return a.totalUs > b.totalUs;
+  });
+  double grandMs = double(grandUs) / 1000.0;
+  std::ostringstream os;
+  os << "=== pass execution timing (aggregated over "
+     << strfmt("%zu", rows.size()) << " passes) ===\n";
+  os << strfmt("%-10s %-28s %6s %8s %10s %7s\n", "pipeline", "pass", "runs",
+               "changed", "total-ms", "%");
+  for (const Row &row : rows) {
+    double ms = double(row.totalUs) / 1000.0;
+    os << strfmt("%-10s %-28s %6lld %8lld %10.3f %6.1f%%\n",
+                 row.pipeline.c_str(), row.pass.c_str(),
+                 static_cast<long long>(row.runs),
+                 static_cast<long long>(row.changed), ms,
+                 grandUs > 0 ? 100.0 * ms / grandMs : 0.0);
+  }
+  os << strfmt("%-10s %-28s %6s %8s %10.3f %6.1f%%\n", "total", "", "", "",
+               grandMs, 100.0);
+  return os.str();
 }
 
 // --- Exporter ---------------------------------------------------------

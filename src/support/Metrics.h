@@ -3,7 +3,8 @@
 // The quantitative sibling of Telemetry's event stream: where a trace
 // answers "what happened when", the metrics registry answers "how many,
 // how fast, at which percentile" — the signals a long-running compile
-// service needs for admission control and SLO reporting.
+// service needs for admission control and SLO reporting. It is the one
+// counting mechanism and the one pass-time source in the process.
 //
 // Three metric kinds, all registered by name (plus optional Prometheus-
 // style labels) in a process-wide Registry:
@@ -11,6 +12,8 @@
 //  * Counter   - monotonically increasing int64 (tasks executed, bytes
 //                stored). Sharded: each recording thread owns one of
 //                kShards cache-line-padded relaxed atomics; value() sums.
+//                Always counts: a sharded relaxed add is cheap enough
+//                that no gate is worth its branch.
 //  * Gauge     - a settable level (queue depth, cached bytes). One atomic;
 //                set/add are unconditional so paired add(+1)/add(-1)
 //                callers stay balanced across enable/disable flips.
@@ -19,19 +22,22 @@
 //                relaxed atomics on the hot path; shards are merged only
 //                at snapshot time, so record() never takes a lock.
 //
-// Recording is gated on a single process-wide relaxed atomic
-// (metrics::enabled()): with metrics off, Counter::add and
-// Histogram::record are one relaxed load and a branch, and Timer skips
-// its clock reads entirely — the ≤2% overhead budget
-// (bench/metrics_overhead) is measured with the gate *on*.
+// LLVM-style statistics are counters too: statistic(group, name, desc)
+// registers `mha_stat{group=...,name=...}`, and `--stats` renders the
+// non-zero ones from a snapshot (statisticsReport()).
 //
-// Snapshots merge every shard and additionally walk the
-// telemetry::Statistic registry, so `--stats` and `--metrics-out` are two
-// views of one set of numbers and can never diverge. Two exporters render
-// a snapshot: json() (schema "mha.metrics.v1", validated via support/Json
-// before any write) and prometheus() (text exposition format). Exporter
-// runs a background thread that rewrites the JSON snapshot every
-// interval (--metrics-out=<path> --metrics-interval=<ms> on the tools).
+// Timing is gated on a single process-wide relaxed atomic
+// (metrics::enabled()): with metrics off, Histogram::record is one
+// relaxed load and a branch, and Timer skips its clock reads entirely —
+// the ≤2% overhead budget (bench/metrics_overhead) is measured with the
+// gate *on*. Both pass managers feed recordPassDuration(); `--time-passes`
+// turns the gate on and renders passTimesTable() from that histogram.
+//
+// Two exporters render a snapshot: json() (schema "mha.metrics.v1",
+// validated via support/Json before any write) and prometheus() (text
+// exposition format). Exporter runs a background thread that rewrites the
+// JSON snapshot every interval (--metrics-out=<path>
+// --metrics-interval=<ms> on the tools).
 #pragma once
 
 #include <atomic>
@@ -50,8 +56,9 @@ namespace mha::metrics {
 /// Label set rendered Prometheus-style: {pipeline="lir",pass="dce"}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Process-wide recording gate (relaxed atomic). Off by default: cold
-/// binaries pay one load+branch per record site and nothing else.
+/// Process-wide timing gate (relaxed atomic) for histograms and timers.
+/// Off by default: cold binaries pay one load+branch per record site and
+/// nothing else. Counters and gauges ignore it.
 bool enabled();
 void setEnabled(bool on);
 
@@ -96,8 +103,6 @@ struct alignas(64) HistogramShard {
 class Counter {
 public:
   void add(int64_t n) {
-    if (!enabled())
-      return;
     shards_[detail::shardIndex()].value.fetch_add(n,
                                                   std::memory_order_relaxed);
   }
@@ -110,7 +115,7 @@ public:
   /// shard is read with a relaxed load).
   int64_t value() const;
 
-  /// Zeroes every shard (tests only; concurrent adds may survive).
+  /// Zeroes every shard (concurrent adds may survive).
   void reset();
 
   Counter() = default;
@@ -241,22 +246,16 @@ struct HistogramSnapshot {
   Histogram::Merged merged;
 };
 
-/// A telemetry::Statistic value mirrored into the snapshot (satellite of
-/// the counter-world unification: one walk feeds both reports).
-struct StatSnapshot {
-  std::string group;
-  std::string name;
-  int64_t value = 0;
-};
-
 /// Point-in-time merged view of every registered metric, ordered by
 /// (name, rendered labels) so exports are deterministic.
 struct Snapshot {
   double uptimeMs = 0;
-  std::vector<CounterSnapshot> counters;
+  std::vector<CounterSnapshot> counters; // every counter but mha_stat
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
-  std::vector<StatSnapshot> stats;
+  /// The non-zero statistic() counters, ordered by (group, name); help
+  /// holds the description.
+  std::vector<CounterSnapshot> stats;
 
   /// Schema "mha.metrics.v1". Histograms carry count/sum/min/max/mean,
   /// p50/p90/p99, and the non-empty buckets as {le, count} pairs
@@ -265,7 +264,7 @@ struct Snapshot {
 
   /// Prometheus text exposition format: counters/gauges as single
   /// samples, histograms as cumulative _bucket{le=...}/_sum/_count
-  /// series, telemetry statistics as mha_stat{group=,name=} samples.
+  /// series, statistics as mha_stat{group=,name=} samples.
   std::string prometheus() const;
 };
 
@@ -285,8 +284,7 @@ public:
   Histogram &histogram(std::string_view name, std::string_view help = "",
                        Labels labels = {});
 
-  /// Merges every shard of every metric and mirrors the telemetry
-  /// statistic registry (non-zero counters, same set `--stats` prints).
+  /// Merges every shard of every metric.
   Snapshot snapshot() const;
 
   /// Validates and writes snapshot().json() to `path`. Returns false and
@@ -309,12 +307,32 @@ private:
   Impl &impl() const;
 };
 
+/// LLVM-style named statistic: the counter `mha_stat{group=,name=}` with
+/// `description` as its help. Define one per counted event at file scope
+/// in the pass that owns it:
+///
+///   metrics::Counter &numRemoved =
+///       metrics::statistic("dce", "removed", "dead instructions removed");
+///   ...
+///   ++numRemoved;
+Counter &statistic(std::string_view group, std::string_view name,
+                   std::string_view description);
+
+/// The `--stats` dump: one "%10lld group.name - description" line per
+/// non-zero statistic, sorted by (group, name); empty when nothing fired.
+std::string statisticsReport();
+
 /// Records one pass run into the per-pass duration histogram
-/// `mha_pass_duration_us{pipeline=...,pass=...}`. No-op when metrics are
-/// disabled (checked before the registry lookup, so the disabled cost is
-/// one relaxed load).
+/// `mha_pass_duration_us{pipeline=,pass=,changed=}`. No-op when metrics
+/// are disabled (checked before the registry lookup, so the disabled cost
+/// is one relaxed load).
 void recordPassDuration(std::string_view pipeline, std::string_view pass,
-                        int64_t us);
+                        int64_t us, bool changed);
+
+/// The `--time-passes` table, aggregated per (pipeline, pass) from the
+/// pass-duration histogram and sorted by total time, descending; empty
+/// when no pass ran with metrics enabled.
+std::string passTimesTable();
 
 /// Background exporter: rewrites the JSON snapshot every `intervalMs`
 /// until stop(). start/stop are serialized and idempotent — concurrent

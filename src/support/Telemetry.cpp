@@ -1,12 +1,9 @@
 #include "support/Telemetry.h"
 
 #include "support/Json.h"
-#include "support/StringUtils.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <tuple>
 
 namespace mha::telemetry {
 
@@ -107,7 +104,6 @@ void Tracer::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();
   laneNames_.clear();
-  passTimes_.clear();
   epoch_ = Clock::now();
 }
 
@@ -140,64 +136,9 @@ void Tracer::instant(std::string name, std::string category) {
   events_.push_back(std::move(event));
 }
 
-void Tracer::recordPassTime(std::string_view pipeline, std::string_view pass,
-                            double ms, bool changed) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (PassTime &entry : passTimes_)
-    if (entry.pipeline == pipeline && entry.pass == pass) {
-      ++entry.runs;
-      entry.changed += changed ? 1 : 0;
-      entry.totalMs += ms;
-      return;
-    }
-  PassTime entry;
-  entry.pipeline = std::string(pipeline);
-  entry.pass = std::string(pass);
-  entry.runs = 1;
-  entry.changed = changed ? 1 : 0;
-  entry.totalMs = ms;
-  passTimes_.push_back(std::move(entry));
-}
-
 std::vector<TraceEvent> Tracer::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return events_;
-}
-
-std::vector<PassTime> Tracer::passTimes() const {
-  std::vector<PassTime> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out = passTimes_;
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const PassTime &a, const PassTime &b) {
-                     return a.totalMs > b.totalMs;
-                   });
-  return out;
-}
-
-std::string Tracer::passTimesTable() const {
-  std::vector<PassTime> times = passTimes();
-  if (times.empty())
-    return "";
-  double grand = 0;
-  for (const PassTime &entry : times)
-    grand += entry.totalMs;
-  std::ostringstream os;
-  os << "=== pass execution timing (aggregated over "
-     << strfmt("%zu", times.size()) << " passes) ===\n";
-  os << strfmt("%-10s %-28s %6s %8s %10s %7s\n", "pipeline", "pass", "runs",
-               "changed", "total-ms", "%");
-  for (const PassTime &entry : times)
-    os << strfmt("%-10s %-28s %6lld %8lld %10.3f %6.1f%%\n",
-                 entry.pipeline.c_str(), entry.pass.c_str(),
-                 static_cast<long long>(entry.runs),
-                 static_cast<long long>(entry.changed), entry.totalMs,
-                 grand > 0 ? 100.0 * entry.totalMs / grand : 0.0);
-  os << strfmt("%-10s %-28s %6s %8s %10.3f %6.1f%%\n", "total", "", "", "",
-               grand, 100.0);
-  return os.str();
 }
 
 std::string Tracer::chromeTraceJson() const {
@@ -267,67 +208,6 @@ bool Tracer::writeChromeTrace(const std::string &path,
     return false;
   }
   return true;
-}
-
-namespace {
-
-struct StatisticRegistry {
-  std::mutex mutex;
-  std::vector<Statistic *> entries;
-
-  static StatisticRegistry &get() {
-    static StatisticRegistry registry;
-    return registry;
-  }
-};
-
-} // namespace
-
-Statistic::Statistic(const char *group, const char *name,
-                     const char *description)
-    : group_(group), name_(name), description_(description) {
-  StatisticRegistry &registry = StatisticRegistry::get();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.entries.push_back(this);
-}
-
-std::vector<StatisticValue> statisticValues(bool includeZero) {
-  StatisticRegistry &registry = StatisticRegistry::get();
-  std::vector<StatisticValue> out;
-  {
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    for (const Statistic *stat : registry.entries) {
-      int64_t value = stat->value();
-      if (value == 0 && !includeZero)
-        continue;
-      out.push_back({stat->group(), stat->name(), stat->description(), value});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StatisticValue &a, const StatisticValue &b) {
-              return std::tie(a.group, a.name) < std::tie(b.group, b.name);
-            });
-  return out;
-}
-
-std::string statisticsReport() {
-  std::vector<StatisticValue> values = statisticValues();
-  if (values.empty())
-    return "";
-  std::ostringstream os;
-  os << "=== statistics ===\n";
-  for (const StatisticValue &value : values)
-    os << strfmt("%10lld %s.%s - %s\n", static_cast<long long>(value.value),
-                 value.group.c_str(), value.name.c_str(),
-                 value.description.c_str());
-  return os.str();
-}
-
-void resetStatistics() {
-  StatisticRegistry &registry = StatisticRegistry::get();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  for (Statistic *stat : registry.entries)
-    stat->reset();
 }
 
 } // namespace mha::telemetry

@@ -1,6 +1,6 @@
-// Telemetry.h - process-wide tracing, pass timing, and statistics.
+// Telemetry.h - process-wide tracing: spans, lanes and the Chrome trace.
 //
-// Three coordinated facilities behind one global `Tracer`:
+// Two coordinated facilities behind one global `Tracer`:
 //
 //  * Hierarchical spans. A `Span` is an RAII timer for a named region on
 //    the calling thread. It *always* measures (two steady_clock reads, the
@@ -18,16 +18,8 @@
 //    workers claim lane = worker index with a display name ("worker 3");
 //    unclaimed threads get stable auto-assigned lanes starting at 1000.
 //
-//  * Statistics. `Statistic` is an LLVM-style named atomic counter,
-//    registered at construction into a global registry and dumped by
-//    `--stats`. Counters are process-wide and thread-safe; passes keep
-//    their per-run `PassStats` maps for per-job attribution and bump the
-//    global counters for whole-process totals.
-//
-// Pass timing (`--time-passes`) is a separate aggregation keyed by
-// (pipeline, pass): both pass managers report each pass run's wall time
-// when the flag is on, and `passTimesTable()` renders the classic
-// aggregated table.
+// Counting (`--stats`) and pass timing (`--time-passes`) live in the
+// metrics registry (support/Metrics.h), not here.
 #pragma once
 
 #include <atomic>
@@ -96,15 +88,6 @@ struct TraceEvent {
   SpanArgs args;
 };
 
-/// Aggregated wall time for one pass across every run (--time-passes).
-struct PassTime {
-  std::string pipeline; // "lir" | "mir"
-  std::string pass;
-  int64_t runs = 0;
-  int64_t changed = 0; // runs that reported IR changes
-  double totalMs = 0;
-};
-
 class Tracer {
 public:
   /// The process-wide tracer used by Span, the pass managers, the flow
@@ -114,15 +97,8 @@ public:
   void setEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  void setTimePasses(bool on) {
-    timePasses_.store(on, std::memory_order_relaxed);
-  }
-  bool timePassesEnabled() const {
-    return timePasses_.load(std::memory_order_relaxed);
-  }
-
-  /// Drops all recorded events, lane names and pass times and restarts
-  /// the epoch. Enable/time-passes flags are left as they are.
+  /// Drops all recorded events and lane names and restarts the epoch.
+  /// The enable flag is left as it is.
   void reset();
 
   /// Records a finished span in the calling thread's lane. Normally
@@ -140,17 +116,7 @@ public:
   /// Idempotent; cheap enough to call per task.
   static void setThreadLane(int lane, std::string name = "");
 
-  /// Aggregates one pass run into the --time-passes table. Gated by the
-  /// caller on timePassesEnabled().
-  void recordPassTime(std::string_view pipeline, std::string_view pass,
-                      double ms, bool changed);
-
   std::vector<TraceEvent> events() const;
-  /// Sorted by total time, descending.
-  std::vector<PassTime> passTimes() const;
-  /// Human-readable aggregated pass-timing table (empty string when no
-  /// pass times were recorded).
-  std::string passTimesTable() const;
 
   /// Renders every recorded event as Chrome trace-event JSON:
   /// {"displayTimeUnit":"ms","traceEvents":[...]} with one thread_name
@@ -173,13 +139,11 @@ private:
   int currentLane();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<bool> timePasses_{false};
 
   mutable std::mutex mutex_;
   Clock::time_point epoch_;
   std::vector<TraceEvent> events_;
   std::vector<std::pair<int, std::string>> laneNames_;
-  std::vector<PassTime> passTimes_;
   std::atomic<int> nextAutoLane_{1000};
 };
 
@@ -245,59 +209,5 @@ private:
   double ms_ = 0;
   bool done_ = false;
 };
-
-/// LLVM-style named statistic: a process-wide atomic counter registered
-/// into the global registry at construction. Define one per counted event
-/// at file scope in the pass that owns it:
-///
-///   static telemetry::Statistic numRemoved("dce", "removed",
-///                                          "instructions removed");
-///   ...
-///   ++numRemoved;
-class Statistic {
-public:
-  Statistic(const char *group, const char *name, const char *description);
-
-  void add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  Statistic &operator++() {
-    add(1);
-    return *this;
-  }
-  Statistic &operator+=(int64_t n) {
-    add(n);
-    return *this;
-  }
-
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  const char *group() const { return group_; }
-  const char *name() const { return name_; }
-  const char *description() const { return description_; }
-
-private:
-  const char *group_;
-  const char *name_;
-  const char *description_;
-  std::atomic<int64_t> value_{0};
-};
-
-struct StatisticValue {
-  std::string group;
-  std::string name;
-  std::string description;
-  int64_t value = 0;
-};
-
-/// Snapshot of registered statistics, sorted by (group, name). By default
-/// only counters that actually fired are included.
-std::vector<StatisticValue> statisticValues(bool includeZero = false);
-
-/// Human-readable counter dump for --stats (empty string when nothing
-/// fired).
-std::string statisticsReport();
-
-/// Zeroes every registered counter (tests and long-lived tools).
-void resetStatistics();
 
 } // namespace mha::telemetry

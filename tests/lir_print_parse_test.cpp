@@ -179,6 +179,44 @@ entry:
   EXPECT_NE(diags.str().find("undefined value"), std::string::npos);
 }
 
+TEST(LirParseErrors, UndefinedLabel) {
+  LContext ctx;
+  DiagnosticEngine diags;
+  auto module = parseModule(R"(
+define void @f(i1 %c) {
+entry:
+  br i1 %c, label %done, label %nowhere
+done:
+  ret void
+}
+)",
+                            ctx, diags);
+  EXPECT_EQ(module, nullptr);
+  EXPECT_NE(diags.str().find("use of undefined label %nowhere"),
+            std::string::npos)
+      << diags.str();
+}
+
+TEST(LirParseErrors, RedefinedLabel) {
+  LContext ctx;
+  DiagnosticEngine diags;
+  auto module = parseModule(R"(
+define void @f() {
+entry:
+  br label %done
+done:
+  ret void
+done:
+  ret void
+}
+)",
+                            ctx, diags);
+  EXPECT_EQ(module, nullptr);
+  EXPECT_NE(diags.str().find("redefinition of label %done"),
+            std::string::npos)
+      << diags.str();
+}
+
 TEST(LirParseErrors, UnknownInstruction) {
   LContext ctx;
   DiagnosticEngine diags;

@@ -5,6 +5,7 @@
 #include "support/EventLog.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -196,9 +197,10 @@ TEST(MetricsCounter, ConcurrentAddsSumExactly) {
 TEST(MetricsCounter, GatedOffRecordsNothing) {
   metrics::Registry::global().resetForTest();
   metrics::setEnabled(false);
+  // The gate only covers timing: counters count with it off.
   metrics::Counter c;
   c.add(100);
-  EXPECT_EQ(c.value(), 0);
+  EXPECT_EQ(c.value(), 100);
   metrics::Histogram h;
   h.record(5);
   EXPECT_EQ(h.merged().count, 0);
@@ -274,18 +276,28 @@ TEST(MetricsRegistry, SnapshotJsonValidatesAndCarriesValues) {
 
 TEST(MetricsRegistry, SnapshotMirrorsTelemetryStatistics) {
   MetricsScope scope;
-  static telemetry::Statistic stat("metrics-test", "mirrored-stat",
-                                   "statistic visible in the snapshot");
-  stat += 5;
+  metrics::Counter &stat = metrics::statistic(
+      "metrics-test", "mirrored-stat", "statistic visible in the snapshot");
+  EXPECT_EQ(&stat, &metrics::Registry::global().counter(
+                       "mha_stat", "",
+                       {{"group", "metrics-test"}, {"name", "mirrored-stat"}}));
+  stat.add(5);
   metrics::Snapshot snap = metrics::Registry::global().snapshot();
   bool found = false;
-  for (const metrics::StatSnapshot &s : snap.stats)
-    if (s.group == "metrics-test" && s.name == "mirrored-stat") {
+  for (const metrics::CounterSnapshot &s : snap.stats)
+    if (s.labels[0].second == "metrics-test" &&
+        s.labels[1].second == "mirrored-stat") {
       found = true;
-      EXPECT_GE(s.value, 5);
+      EXPECT_EQ(s.value, 5);
+      EXPECT_EQ(s.help, "statistic visible in the snapshot");
     }
-  EXPECT_TRUE(found)
-      << "telemetry::Statistic values must appear in the metrics snapshot";
+  EXPECT_TRUE(found) << "statistic() counters must appear as snapshot stats";
+  // ...and only there: the counters array leaves mha_stat out.
+  for (const metrics::CounterSnapshot &c : snap.counters)
+    EXPECT_NE(c.name, "mha_stat");
+  EXPECT_NE(snap.prometheus().find(
+                "mha_stat{group=\"metrics-test\",name=\"mirrored-stat\"} 5\n"),
+            std::string::npos);
 }
 
 TEST(MetricsRegistry, PrometheusFormatIsWellFormed) {
@@ -307,17 +319,25 @@ TEST(MetricsRegistry, PrometheusFormatIsWellFormed) {
 
 TEST(MetricsRegistry, RecordPassDurationLandsInLabeledSeries) {
   MetricsScope scope;
-  metrics::recordPassDuration("lir", "dce", 250);
-  metrics::recordPassDuration("lir", "dce", 750);
-  metrics::recordPassDuration("mir", "canonicalize", 10);
+  metrics::recordPassDuration("lir", "dce", 250, /*changed=*/true);
+  metrics::recordPassDuration("lir", "dce", 750, /*changed=*/true);
+  metrics::recordPassDuration("lir", "dce", 5, /*changed=*/false);
+  metrics::recordPassDuration("mir", "canonicalize", 10, /*changed=*/false);
   metrics::Histogram &lirDce = metrics::Registry::global().histogram(
-      "mha_pass_duration_us", "", {{"pipeline", "lir"}, {"pass", "dce"}});
+      "mha_pass_duration_us", "",
+      {{"pipeline", "lir"}, {"pass", "dce"}, {"changed", "true"}});
   EXPECT_EQ(lirDce.merged().count, 2);
   EXPECT_EQ(lirDce.merged().sum, 1000);
   metrics::Histogram &mirCanon = metrics::Registry::global().histogram(
       "mha_pass_duration_us", "",
-      {{"pipeline", "mir"}, {"pass", "canonicalize"}});
+      {{"pipeline", "mir"}, {"pass", "canonicalize"}, {"changed", "false"}});
   EXPECT_EQ(mirCanon.merged().count, 1);
+  // --time-passes merges a pass's changed/unchanged series into one row.
+  std::string table = metrics::passTimesTable();
+  EXPECT_NE(table.find(strfmt("%-10s %-28s %6lld %8lld %10.3f", "lir", "dce",
+                              3LL, 2LL, 1.005)),
+            std::string::npos)
+      << table;
 }
 
 // --- timer -----------------------------------------------------------------

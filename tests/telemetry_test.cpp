@@ -1,6 +1,7 @@
-// Telemetry tests: spans and lanes, Chrome trace export, the statistic
-// registry, pass instrumentation hooks (lir and mir), --time-passes
-// aggregation, and the flow drivers' span integration.
+// Telemetry tests: spans and lanes, Chrome trace export, statistics as
+// metrics counters, pass instrumentation hooks (lir and mir), the
+// --time-passes table rendered from the pass-duration histogram, and the
+// flow drivers' span integration.
 #include "support/Telemetry.h"
 
 #include "flow/Flow.h"
@@ -11,11 +12,14 @@
 #include "mir/Builder.h"
 #include "mir/transforms/MirTransforms.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
+#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -26,22 +30,44 @@ using namespace mha::telemetry;
 
 namespace {
 
-/// Every telemetry test shares the process-wide tracer, so each one starts
-/// from a clean slate and leaves the tracer disabled for its neighbors.
+/// Every telemetry test shares the process-wide tracer and metrics
+/// registry, so each one starts from a clean slate and leaves tracing and
+/// metrics (the --time-passes source) disabled for its neighbors.
 struct TracerGuard {
-  TracerGuard(bool enable = false, bool timePasses = false) {
+  TracerGuard(bool enable = false, bool enableMetrics = false) {
     Tracer &tracer = Tracer::global();
     tracer.setEnabled(enable);
-    tracer.setTimePasses(timePasses);
     tracer.reset();
+    metrics::setEnabled(enableMetrics);
+    metrics::Registry::global().resetForTest();
   }
   ~TracerGuard() {
     Tracer &tracer = Tracer::global();
     tracer.setEnabled(false);
-    tracer.setTimePasses(false);
     tracer.reset();
+    metrics::setEnabled(false);
+    metrics::Registry::global().resetForTest();
   }
 };
+
+/// One (pipeline, pass) row of the pass-duration histogram, merged over
+/// its changed="false"/"true" series.
+struct PassTotals {
+  int64_t runs = 0, changed = 0, totalUs = 0;
+};
+
+PassTotals passTotals(const std::string &pipeline, const std::string &pass) {
+  PassTotals out;
+  for (const metrics::HistogramSnapshot &h :
+       metrics::Registry::global().snapshot().histograms)
+    if (h.name == "mha_pass_duration_us" && h.labels[0].second == pipeline &&
+        h.labels[1].second == pass) {
+      out.runs += h.merged.count;
+      out.changed += h.labels[2].second == "true" ? h.merged.count : 0;
+      out.totalUs += h.merged.sum;
+    }
+  return out;
+}
 
 struct Parsed {
   lir::LContext ctx;
@@ -223,41 +249,46 @@ TEST(Tracer, WriteChromeTraceRoundTrips) {
 }
 
 TEST(Statistic, CountsAtomicallyAcrossThreads) {
-  static Statistic counter("telemetry-test", "increments",
-                           "test counter bumped from a pool");
+  metrics::Counter &counter = metrics::statistic(
+      "telemetry-test", "increments", "test counter bumped from a pool");
   int64_t before = counter.value();
   ThreadPool pool(8);
   parallelFor(pool, 8000, [&](size_t) { ++counter; });
   EXPECT_EQ(counter.value() - before, 8000);
-  counter += 5;
+  counter.add(5);
   EXPECT_EQ(counter.value() - before, 8005);
 
-  // The registry sees the counter and the report renders it.
-  std::vector<StatisticValue> values = statisticValues();
-  auto it = std::find_if(values.begin(), values.end(),
-                         [](const StatisticValue &v) {
-                           return v.group == "telemetry-test" &&
-                                  v.name == "increments";
+  // The snapshot lists the counter as a statistic and the report renders
+  // it in the --stats line format.
+  std::vector<metrics::CounterSnapshot> stats =
+      metrics::Registry::global().snapshot().stats;
+  auto it = std::find_if(stats.begin(), stats.end(),
+                         [](const metrics::CounterSnapshot &s) {
+                           return s.labels[0].second == "telemetry-test" &&
+                                  s.labels[1].second == "increments";
                          });
-  ASSERT_NE(it, values.end());
+  ASSERT_NE(it, stats.end());
   EXPECT_EQ(it->value, counter.value());
-  std::string report = statisticsReport();
-  EXPECT_NE(report.find("telemetry-test"), std::string::npos);
-  EXPECT_NE(report.find("increments"), std::string::npos);
+  std::string report = metrics::statisticsReport();
+  EXPECT_NE(report.find(strfmt("%10lld telemetry-test.increments - test "
+                               "counter bumped from a pool\n",
+                               static_cast<long long>(counter.value()))),
+            std::string::npos)
+      << report;
 }
 
 TEST(Statistic, TransformPassesBumpRegisteredCounters) {
   // dce registers a process-wide "dce.removed" style counter; running the
   // pass on IR with (post-mem2reg) dead code must move it.
-  std::vector<StatisticValue> before = statisticValues(/*includeZero=*/true);
-  auto valueOf = [](const std::vector<StatisticValue> &values,
-                    const char *group) {
+  auto valueOf = [](const char *group) {
     int64_t total = 0;
-    for (const StatisticValue &v : values)
-      if (v.group == group)
-        total += v.value;
+    for (const metrics::CounterSnapshot &s :
+         metrics::Registry::global().snapshot().stats)
+      if (s.labels[0].second == group)
+        total += s.value;
     return total;
   };
+  int64_t mem2regBefore = valueOf("mem2reg"), dceBefore = valueOf("dce");
 
   Parsed p(kPromotableIR);
   ASSERT_NE(p.module, nullptr);
@@ -267,9 +298,8 @@ TEST(Statistic, TransformPassesBumpRegisteredCounters) {
   DiagnosticEngine diags;
   ASSERT_TRUE(pm.run(*p.module, diags)) << diags.str();
 
-  std::vector<StatisticValue> after = statisticValues(/*includeZero=*/true);
-  EXPECT_GT(valueOf(after, "mem2reg"), valueOf(before, "mem2reg"));
-  EXPECT_GT(valueOf(after, "dce"), valueOf(before, "dce"));
+  EXPECT_GT(valueOf("mem2reg"), mem2regBefore);
+  EXPECT_GT(valueOf("dce"), dceBefore);
 }
 
 TEST(PassInstrumentation, BeforeInOrderAfterInReverse) {
@@ -349,7 +379,7 @@ TEST(PassInstrumentation, PrintIRBannersRespectFilters) {
 }
 
 TEST(PassInstrumentation, TimePassesAggregationMatchesRecords) {
-  TracerGuard guard(/*enable=*/false, /*timePasses=*/true);
+  TracerGuard guard(/*enable=*/false, /*enableMetrics=*/true);
   Parsed p(kPromotableIR);
   ASSERT_NE(p.module, nullptr);
 
@@ -360,25 +390,24 @@ TEST(PassInstrumentation, TimePassesAggregationMatchesRecords) {
   DiagnosticEngine diags;
   ASSERT_TRUE(pm.run(*p.module, diags)) << diags.str();
 
-  std::vector<PassTime> times = Tracer::global().passTimes();
-  double recordTotal = 0;
+  // Each run lands in the histogram as llround(millis * 1000) us.
+  int64_t recordUs = 0;
   for (const lir::PassRunRecord &record : pm.records())
-    recordTotal += record.millis;
-  double tableTotal = 0;
-  int64_t runs = 0;
-  for (const PassTime &time : times) {
-    EXPECT_EQ(time.pipeline, "lir");
-    tableTotal += time.totalMs;
-    runs += time.runs;
-  }
-  EXPECT_EQ(runs, 3);
-  EXPECT_NEAR(tableTotal, recordTotal, 1e-6);
-  auto dce = std::find_if(times.begin(), times.end(),
-                          [](const PassTime &t) { return t.pass == "dce"; });
-  ASSERT_NE(dce, times.end());
-  EXPECT_EQ(dce->runs, 2);
+    recordUs += std::llround(record.millis * 1000.0);
+  PassTotals mem2reg = passTotals("lir", "mem2reg");
+  PassTotals dce = passTotals("lir", "dce");
+  EXPECT_EQ(mem2reg.runs + dce.runs, 3);
+  EXPECT_EQ(dce.runs, 2);
+  EXPECT_EQ(mem2reg.totalUs + dce.totalUs, recordUs);
 
-  std::string table = Tracer::global().passTimesTable();
+  // The table's total row is that sum, exactly.
+  std::string table = metrics::passTimesTable();
+  EXPECT_NE(table.find("aggregated over 2 passes"), std::string::npos);
+  EXPECT_NE(table.find(strfmt("%-10s %-28s %6s %8s %10.3f %6.1f%%\n",
+                              "total", "", "", "", double(recordUs) / 1000.0,
+                              100.0)),
+            std::string::npos)
+      << table;
   EXPECT_NE(table.find("dce"), std::string::npos);
   EXPECT_NE(table.find("mem2reg"), std::string::npos);
 }
@@ -391,8 +420,8 @@ TEST(PassInstrumentation, DisabledTimePassesRecordsNothing) {
   pm.add(lir::createMem2RegPass());
   DiagnosticEngine diags;
   ASSERT_TRUE(pm.run(*p.module, diags)) << diags.str();
-  EXPECT_TRUE(Tracer::global().passTimes().empty());
-  EXPECT_EQ(Tracer::global().passTimesTable(), "");
+  EXPECT_EQ(passTotals("lir", "mem2reg").runs, 0);
+  EXPECT_EQ(metrics::passTimesTable(), "");
 }
 
 namespace {
@@ -417,7 +446,7 @@ struct MirRecordingInstr : mir::MPassInstrumentation {
 } // namespace
 
 TEST(MirPassInstrumentation, HookOrderAndOpDelta) {
-  TracerGuard guard(/*enable=*/false, /*timePasses=*/true);
+  TracerGuard guard(/*enable=*/false, /*enableMetrics=*/true);
   mir::MContext ctx;
   mir::OpBuilder builder(ctx);
   mir::OwnedModule module(mir::OpBuilder::createModule());
@@ -446,13 +475,10 @@ TEST(MirPassInstrumentation, HookOrderAndOpDelta) {
   EXPECT_LE(a.lastRecord.opsAfter, a.lastRecord.opsBefore);
   EXPECT_EQ(a.lastRecord.opsAfter, mir::countOps(module.get()));
 
-  // The mir pipeline feeds the same --time-passes aggregation.
-  std::vector<PassTime> times = Tracer::global().passTimes();
-  auto it = std::find_if(times.begin(), times.end(), [](const PassTime &t) {
-    return t.pipeline == "mir" && t.pass == "mir-canonicalize";
-  });
-  ASSERT_NE(it, times.end());
-  EXPECT_EQ(it->runs, 1);
+  // The mir pipeline feeds the same pass-duration histogram.
+  EXPECT_EQ(passTotals("mir", "mir-canonicalize").runs, 1);
+  EXPECT_NE(metrics::passTimesTable().find("mir-canonicalize"),
+            std::string::npos);
 }
 
 TEST(FlowTelemetry, StageSpansStillPopulateTimings) {
@@ -478,7 +504,7 @@ TEST(FlowTelemetry, StageSpansStillPopulateTimings) {
 }
 
 TEST(FlowTelemetry, AdaptorFlowEmitsNestedSpans) {
-  TracerGuard guard(/*enable=*/true, /*timePasses=*/true);
+  TracerGuard guard(/*enable=*/true, /*enableMetrics=*/true);
   const flow::KernelSpec *spec = flow::findKernel("fir");
   ASSERT_NE(spec, nullptr);
   flow::KernelConfig config;
@@ -520,22 +546,30 @@ TEST(FlowTelemetry, AdaptorFlowEmitsNestedSpans) {
   EXPECT_EQ(sweeps->args[0].first, "ii");
   EXPECT_EQ(sweeps->args[1].first, "sweeps");
 
-  // Adaptor (lir) pass spans nest within the bridge window...
+  // Adaptor (lir) pass spans nest within the bridge window, each one
+  // followed by its verify-each span...
   double lirPassUs = 0;
+  int lirPasses = 0, lirVerifies = 0;
   for (const TraceEvent &event : events)
     if (event.category == "lir-pass") {
       EXPECT_TRUE(contains(*bridge, event)) << event.name;
       lirPassUs += event.durUs;
+      ++lirPasses;
+    } else if (event.category == "lir-verify") {
+      EXPECT_TRUE(contains(*bridge, event));
+      ++lirVerifies;
     }
   EXPECT_GT(lirPassUs, 0);
+  EXPECT_EQ(lirVerifies, lirPasses);
   // ...so their summed time fits inside it, and --time-passes agrees with
   // the per-stage window within tolerance.
   EXPECT_LE(lirPassUs / 1000.0, result.timings.bridgeMs * 1.05 + 1.0);
-  double lirTableMs = 0;
-  for (const PassTime &time : Tracer::global().passTimes())
-    if (time.pipeline == "lir")
-      lirTableMs += time.totalMs;
-  EXPECT_NEAR(lirTableMs, lirPassUs / 1000.0, 0.5);
+  int64_t lirTableUs = 0;
+  for (const metrics::HistogramSnapshot &h :
+       metrics::Registry::global().snapshot().histograms)
+    if (h.name == "mha_pass_duration_us" && h.labels[0].second == "lir")
+      lirTableUs += h.merged.sum;
+  EXPECT_NEAR(lirTableUs / 1000.0, lirPassUs / 1000.0, 0.5);
 
   // The whole trace renders as valid Chrome JSON.
   std::string error;

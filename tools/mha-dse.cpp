@@ -378,7 +378,7 @@ int main(int argc, char **argv) {
                  chromeTracePath.c_str());
   }
   if (statsFlag)
-    std::fprintf(stderr, "%s", telemetry::statisticsReport().c_str());
+    std::fprintf(stderr, "%s", metrics::statisticsReport().c_str());
   if (!obs.finish())
     return 1;
   return status;

@@ -164,7 +164,7 @@ int main(int argc, char **argv) {
     telemetry::Tracer::setThreadLane(1000, "main");
   }
   if (timePasses)
-    tracer.setTimePasses(true);
+    metrics::setEnabled(true);
 
   obscli::Session obs;
   if (!obs.begin(obsOptions))
@@ -204,10 +204,9 @@ int main(int argc, char **argv) {
                 static_cast<long long>(top->resources.lut),
                 static_cast<long long>(top->resources.ff));
     if (timePasses)
-      std::fprintf(stderr, "%s",
-                   telemetry::Tracer::global().passTimesTable().c_str());
+      std::fprintf(stderr, "%s", metrics::passTimesTable().c_str());
     if (statsFlag)
-      std::fprintf(stderr, "%s", telemetry::statisticsReport().c_str());
+      std::fprintf(stderr, "%s", metrics::statisticsReport().c_str());
     if (stageCache) {
       flow::StageCache::Counters cache = flow::StageCache::global().counters();
       std::fprintf(stderr, "stage-cache: %lld hits, %lld misses\n",
@@ -328,9 +327,9 @@ int main(int argc, char **argv) {
                     : 0.0,
                 outcome.trace.failures);
   if (timePasses)
-    std::fprintf(stderr, "%s", tracer.passTimesTable().c_str());
+    std::fprintf(stderr, "%s", metrics::passTimesTable().c_str());
   if (statsFlag)
-    std::fprintf(stderr, "%s", telemetry::statisticsReport().c_str());
+    std::fprintf(stderr, "%s", metrics::statisticsReport().c_str());
   if (stageCache) {
     // One-line cache summary on stderr — stdout must stay byte-identical
     // between cached and uncached runs (the CI determinism diff).

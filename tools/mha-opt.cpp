@@ -17,8 +17,8 @@
 //
 // Telemetry (all output on stderr / to files, never stdout):
 //   --time-passes            aggregated per-pass timing table
-//   --stats                  per-pass statistics + the global counter
-//                            registry (LLVM-style Statistic dump)
+//   --stats                  per-pass statistics + the non-zero
+//                            statistic counters (LLVM-style dump)
 //   --chrome-trace=FILE      Chrome trace-event JSON of every pass span
 //   --print-ir-before[-all]/--print-ir-after[-all]  IR around passes
 #include "ObservabilityCli.h"
@@ -159,7 +159,7 @@ int main(int argc, char **argv) {
     telemetry::Tracer::setThreadLane(0, "main");
   }
   if (timePasses)
-    tracer.setTimePasses(true);
+    metrics::setEnabled(true);
 
   obscli::Session obs;
   if (!obs.begin(obsOptions))
@@ -224,10 +224,10 @@ int main(int argc, char **argv) {
         for (const auto &[key, value] : record.stats)
           std::fprintf(stderr, "%-40s %lld\n", key.c_str(),
                        static_cast<long long>(value));
-      std::fprintf(stderr, "%s", telemetry::statisticsReport().c_str());
+      std::fprintf(stderr, "%s", metrics::statisticsReport().c_str());
     }
     if (timePasses)
-      std::fprintf(stderr, "%s", tracer.passTimesTable().c_str());
+      std::fprintf(stderr, "%s", metrics::passTimesTable().c_str());
     if (!chromeTracePath.empty()) {
       std::string error;
       if (!tracer.writeChromeTrace(chromeTracePath, &error)) {
