@@ -100,6 +100,14 @@ std::vector<BasicBlock *> Function::blockPtrs() const {
   return out;
 }
 
+unsigned Function::numberInstructions() {
+  unsigned next = 0;
+  for (const auto &bb : blocks_)
+    for (auto &inst : *bb)
+      inst->ordinal_ = next++;
+  return next;
+}
+
 void Function::renumberValues() {
   // Printed text binds references by name, so every name must be unique
   // within the function: passes are free to reuse a fixed name (e.g. one

@@ -93,6 +93,10 @@ public:
   /// Assigns names/numbers to anonymous values for stable printing.
   void renumberValues();
 
+  /// Numbers every instruction 0, 1, 2, ... in block layout order (see
+  /// Instruction::ordinal()) and returns how many there are.
+  unsigned numberInstructions();
+
   static bool classof(const Value *v) {
     return v->valueKind() == Kind::Function;
   }

@@ -279,12 +279,19 @@ void Instruction::replaceSuccessor(BasicBlock *from, BasicBlock *to) {
 }
 
 std::unique_ptr<Instruction> Instruction::clone() const {
+  return cloneWithOperands(operandValues());
+}
+
+std::unique_ptr<Instruction>
+Instruction::cloneWithOperands(const std::vector<Value *> &operands) const {
+  assert(operands.size() == numOperands() && "one operand per slot");
   auto copy = std::make_unique<Instruction>(op_, type());
   copy->pred_ = pred_;
   copy->allocatedType_ = allocatedType_;
   copy->sourceElemType_ = sourceElemType_;
-  for (unsigned i = 0, e = numOperands(); i != e; ++i)
-    copy->addOperand(operand(i));
+  copy->ops_.reserve(operands.size());
+  for (Value *operand : operands)
+    copy->addOperand(operand);
   for (const auto &[key, node] : md_)
     copy->md_[key] = node->clone();
   return copy;

@@ -34,28 +34,36 @@ struct LinearSubscript {
 struct MemAccess {
   Instruction *inst = nullptr;
   const Value *base = nullptr; // argument or alloca the GEP roots at
+  /// Linear forms of the GEP's indices, from GEP operand `firstIndex` on
+  /// (past the leading zero of a shaped GEP). Empty, with `firstIndex`
+  /// 0, unless the address is one GEP straight off the base.
   std::vector<LinearSubscript> subscripts;
+  unsigned firstIndex = 0;
+  unsigned pos = 0; // program-order position of `inst` in its block
   bool isStore = false;
   bool affine = false; // all subscripts linear in the iv
 };
 
-/// A (possibly loop-carried) dependence edge src -> dst: the access `dst`
-/// in iteration i+distance conflicts with `src` in iteration i.
+/// A (possibly loop-carried) dependence edge src -> dst between two
+/// accesses, named by their index in the analyzed access list: the access
+/// `dst` in iteration i+distance conflicts with `src` in iteration i.
 struct LoopDependence {
-  const Instruction *src = nullptr;
-  const Instruction *dst = nullptr;
+  unsigned src = 0;
+  unsigned dst = 0;
   int64_t distance = 0; // 0 = intra-iteration ordering edge
 };
 
 /// Linearizes `v` with respect to `iv`; every non-iv leaf becomes a symbol.
 LinearSubscript linearizeInIV(const Value *v, const Value *iv);
 
-/// Collects all loads/stores in the loop body blocks with their subscripts.
+/// Collects all loads/stores in the loop body blocks with their subscripts,
+/// block by block in program order.
 std::vector<MemAccess> collectLoopAccesses(const CanonicalLoop &loop);
 
 /// Computes dependence edges among `accesses` (store/load, store/store,
 /// load/store pairs on the same base). Non-affine accesses get conservative
 /// distance-1 edges against every other access to the same base.
+/// Same-iteration edges follow the accesses' `pos` order.
 std::vector<LoopDependence>
 analyzeLoopDependences(const std::vector<MemAccess> &accesses);
 

@@ -6,8 +6,12 @@
 #include "lir/analysis/Dependence.h"
 #include "lir/analysis/Dominators.h"
 #include "lir/analysis/LoopInfo.h"
+#include "lir/transforms/LoopUnroll.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <tuple>
 
 using namespace mha;
 using namespace mha::lir;
@@ -379,4 +383,88 @@ exit:
   ASSERT_TRUE(canonical.has_value());
   EXPECT_TRUE(analyzeLoopDependences(collectLoopAccesses(*canonical))
                   .empty());
+}
+
+TEST(Dependence, UnrolledBodyEdgesArePinned) {
+  // y[i] = x[i] + x[i+1] plus an accumulator acc[0] += x[i], unrolled 4x
+  // by the backend: the body carries four copies of every access. The
+  // edges (source position, destination position, distance) are pinned
+  // so a faster analysis must reproduce the exact multiset. Distances are
+  // in iv units; after the unroll the iv steps by 4, so the copies' y
+  // stores (positions 7, 21, 35, 49) get carried edges though they never
+  // alias.
+  Parsed p(R"(
+define void @f([36 x double]* %x, [32 x double]* %y, [1 x double]* %acc) {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %next, %body ]
+  %cmp = icmp slt i64 %i, 32
+  br i1 %cmp, label %body, label %exit
+body:
+  %xa = getelementptr [36 x double], [36 x double]* %x, i64 0, i64 %i
+  %x0 = load double, double* %xa
+  %i1 = add i64 %i, 1
+  %xb = getelementptr [36 x double], [36 x double]* %x, i64 0, i64 %i1
+  %x1 = load double, double* %xb
+  %sum = fadd double %x0, %x1
+  %ya = getelementptr [32 x double], [32 x double]* %y, i64 0, i64 %i
+  store double %sum, double* %ya
+  %aa = getelementptr [1 x double], [1 x double]* %acc, i64 0, i64 0
+  %s = load double, double* %aa
+  %s2 = fadd double %s, %x0
+  store double %s2, double* %aa
+  %next = add i64 %i, 1
+  br label %header
+exit:
+  ret void
+}
+)");
+  DominatorTree domTree(*p.fn);
+  LoopInfo loopInfo(*p.fn, domTree);
+  auto canonical = matchCanonicalLoop(loopInfo.loops().front().get());
+  ASSERT_TRUE(canonical.has_value());
+  ASSERT_TRUE(unrollLoopByFactor(*canonical, 4));
+
+  std::vector<MemAccess> accesses = collectLoopAccesses(*canonical);
+  auto positionInBlock = [](const Instruction *inst) {
+    unsigned pos = 0;
+    for (const auto &other : *inst->parent()) {
+      if (other.get() == inst)
+        break;
+      ++pos;
+    }
+    return pos;
+  };
+  for (const MemAccess &access : accesses)
+    EXPECT_EQ(access.pos, positionInBlock(access.inst));
+
+  using Edge = std::tuple<unsigned, unsigned, int64_t>;
+  std::vector<Edge> edges;
+  for (const LoopDependence &dep : analyzeLoopDependences(accesses))
+    edges.emplace_back(positionInBlock(accesses[dep.src].inst),
+                       positionInBlock(accesses[dep.dst].inst), dep.distance);
+  std::sort(edges.begin(), edges.end());
+  const std::vector<Edge> expected = {
+      {9, 11, 0}, {9, 11, 1}, {9, 25, 0}, {9, 25, 1}, {9, 39, 0}, {9, 39, 1},
+      {9, 53, 0}, {9, 53, 1},
+      {11, 9, 1}, {11, 23, 0}, {11, 23, 1}, {11, 25, 0}, {11, 25, 1},
+      {11, 37, 0}, {11, 37, 1}, {11, 39, 0}, {11, 39, 1}, {11, 51, 0},
+      {11, 51, 1}, {11, 53, 0}, {11, 53, 1},
+      {21, 7, 1},
+      {23, 11, 1}, {23, 25, 0}, {23, 25, 1}, {23, 39, 0}, {23, 39, 1},
+      {23, 53, 0}, {23, 53, 1},
+      {25, 9, 1}, {25, 11, 1}, {25, 23, 1}, {25, 37, 0}, {25, 37, 1},
+      {25, 39, 0}, {25, 39, 1}, {25, 51, 0}, {25, 51, 1}, {25, 53, 0},
+      {25, 53, 1},
+      {35, 7, 2}, {35, 21, 1},
+      {37, 11, 1}, {37, 25, 1}, {37, 39, 0}, {37, 39, 1}, {37, 53, 0},
+      {37, 53, 1},
+      {39, 9, 1}, {39, 11, 1}, {39, 23, 1}, {39, 25, 1}, {39, 37, 1},
+      {39, 51, 0}, {39, 51, 1}, {39, 53, 0}, {39, 53, 1},
+      {49, 7, 3}, {49, 21, 2}, {49, 35, 1},
+      {51, 11, 1}, {51, 25, 1}, {51, 39, 1}, {51, 53, 0}, {51, 53, 1},
+      {53, 9, 1}, {53, 11, 1}, {53, 23, 1}, {53, 25, 1}, {53, 37, 1},
+      {53, 39, 1}, {53, 51, 1}};
+  EXPECT_EQ(edges, expected);
 }

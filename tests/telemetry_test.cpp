@@ -534,8 +534,9 @@ TEST(FlowTelemetry, AdaptorFlowEmitsNestedSpans) {
   // The scheduler's phases nest within the synth window; fir's inner loop
   // is pipelined, so every phase runs.
   for (const char *phase :
-       {"vhls-unroll", "vhls-arrays", "vhls-blocks", "vhls-dependences",
-        "vhls-recmii", "vhls-modulo-sweeps", "vhls-bind"}) {
+       {"vhls-compat", "vhls-unroll", "vhls-arrays", "vhls-costs",
+        "vhls-analyses", "vhls-blocks", "vhls-dependences", "vhls-recmii",
+        "vhls-modulo-sweeps", "vhls-bind"}) {
     const TraceEvent *event = findEvent(events, phase);
     ASSERT_NE(event, nullptr) << phase;
     EXPECT_EQ(event->category, "vhls");
