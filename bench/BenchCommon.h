@@ -6,7 +6,6 @@
 #include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,8 +18,8 @@ namespace mha::bench {
 /// printed table row so BENCH_*.json perf trajectories can accumulate.
 /// The flag is consumed from argv (anything else — e.g. google-benchmark
 /// flags — passes through untouched); stdout is never written to, so the
-/// human tables stay byte-identical with the flag off. The document is
-/// validated with json::validate before it hits disk.
+/// human tables stay byte-identical with the flag off. The document goes
+/// through json::writeFile, which validates it before it hits disk.
 class JsonReport {
 public:
   JsonReport(std::string bench, int &argc, char **argv)
@@ -84,16 +83,8 @@ public:
     }
     text += "\n  ]\n}\n";
     std::string error;
-    if (!json::validate(text, &error)) {
-      std::fprintf(stderr, "bench json: malformed output: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    std::ofstream out(path_, std::ios::binary);
-    out << text;
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "bench json: cannot write %s\n", path_.c_str());
+    if (!json::writeFile(path_, text, &error)) {
+      std::fprintf(stderr, "bench json: %s\n", error.c_str());
       return 1;
     }
     std::fprintf(stderr, "bench report written to %s\n", path_.c_str());

@@ -65,7 +65,7 @@ QoR Evaluator::runFlow(const flow::KernelConfig &config,
   flow::FlowResult result = flow::runAdaptorFlow(*spec_, config,
                                                  options_.flow);
   if (!result.ok) {
-    qor.error = result.diagnostics.substr(0, result.diagnostics.find('\n'));
+    qor.error = firstLine(result.diagnostics);
     if (qor.error.empty())
       qor.error = "flow failed";
     return qor;
@@ -333,31 +333,6 @@ bool Evaluator::loadCacheJson(std::string_view text, std::string *error) {
     entry.qor.ff = intField("ff");
     if (const json::Value *err = item.get("error"))
       entry.qor.error = err->asString();
-  }
-  return true;
-}
-
-bool Evaluator::saveCacheFile(const std::string &path,
-                              std::string *error) const {
-  std::string text = cacheJson();
-  std::string jsonError;
-  if (!json::validate(text, &jsonError)) {
-    if (error)
-      *error = "internal error, malformed cache JSON: " + jsonError;
-    return false;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    if (error)
-      *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << text;
-  out.close();
-  if (!out) {
-    if (error)
-      *error = "write to " + path + " failed";
-    return false;
   }
   return true;
 }

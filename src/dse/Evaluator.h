@@ -117,8 +117,8 @@ public:
   /// different schema or kernel. Existing entries win on key collision.
   bool loadCacheJson(std::string_view text, std::string *error = nullptr);
 
-  /// File round-trip for --resume: both validate the JSON side.
-  bool saveCacheFile(const std::string &path, std::string *error = nullptr) const;
+  /// Reads a cache file for --resume (written with json::writeFile of
+  /// cacheJson()).
   bool loadCacheFile(const std::string &path, std::string *error = nullptr);
 
 private:

@@ -226,7 +226,7 @@ namespace {
 QoR qorFromResult(const flow::FlowResult &result) {
   QoR qor;
   if (!result.ok) {
-    qor.error = result.diagnostics.substr(0, result.diagnostics.find('\n'));
+    qor.error = firstLine(result.diagnostics);
     if (qor.error.empty())
       qor.error = "flow failed";
     return qor;

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <mutex>
 #include <sstream>
 
 namespace mha::flow {
@@ -20,11 +18,6 @@ using Clock = std::chrono::steady_clock;
 
 double msBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-std::string firstLine(const std::string &text) {
-  size_t eol = text.find('\n');
-  return eol == std::string::npos ? text : text.substr(0, eol);
 }
 
 /// Exact nearest-rank percentile over sorted values (p in [0, 100]).
@@ -129,22 +122,6 @@ std::string BatchTrace::json() const {
   return os.str();
 }
 
-void JsonFileTraceSink::onBatchFinished(const BatchTrace &trace) {
-  std::string rendered = trace.json();
-  std::string validateError;
-  if (!json::validate(rendered, &validateError)) {
-    error_ = "batch trace is not well-formed JSON: " + validateError;
-    return;
-  }
-  std::ofstream out(path_);
-  if (!out) {
-    error_ = "cannot open " + path_;
-    return;
-  }
-  out << rendered;
-  error_ = out.good() ? "" : "write to " + path_ + " failed";
-}
-
 BatchOutcome runBatch(const std::vector<BatchJob> &jobs,
                       const BatchOptions &options) {
   BatchOutcome out;
@@ -161,7 +138,6 @@ BatchOutcome runBatch(const std::vector<BatchJob> &jobs,
   out.trace.threads = pool->size();
   out.trace.jobsPerWorker.assign(pool->size(), 0);
 
-  std::mutex sinkMutex;
   // The whole batch is one span on the submitting thread; each job runs
   // inside its own span in the executing worker's lane, so a Chrome trace
   // shows one lane per pool worker with the per-job flow-stage/pass spans
@@ -204,11 +180,6 @@ BatchOutcome runBatch(const std::vector<BatchJob> &jobs,
             strfmt("job-failed:%s", trace.kernel.c_str()), "batch-job");
       }
       out.results[i] = std::move(result);
-
-      if (options.sink) {
-        std::lock_guard<std::mutex> lock(sinkMutex);
-        options.sink->onJobFinished(trace);
-      }
     });
   }
   group.wait();
@@ -235,8 +206,6 @@ BatchOutcome runBatch(const std::vector<BatchJob> &jobs,
   out.trace.e2eP50Ms = exactPercentile(e2eMs, 50);
   out.trace.e2eP90Ms = exactPercentile(e2eMs, 90);
   out.trace.e2eP99Ms = exactPercentile(e2eMs, 99);
-  if (options.sink)
-    options.sink->onBatchFinished(out.trace);
   return out;
 }
 

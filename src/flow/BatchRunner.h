@@ -11,10 +11,10 @@
 // `diagnostics` and never kills the batch.
 //
 // Every run produces a structured trace (per-stage timings, adaptor pass
-// statistics, accept/reject status, worker/queue occupancy) that can be
-// streamed through a TraceSink and exported as JSON — the machine-
-// readable record the benches and `mha-flow --batch --trace=out.json`
-// dump. The JSON schema is documented in DESIGN.md ("Batch trace JSON").
+// statistics, accept/reject status, worker/queue occupancy) that renders
+// as JSON — the machine-readable record the benches and
+// `mha-flow --batch --trace=out.json` dump. The JSON schema is documented
+// in DESIGN.md ("Batch trace JSON").
 #pragma once
 
 #include "flow/Flow.h"
@@ -73,38 +73,12 @@ struct BatchTrace {
   std::string json() const;
 };
 
-/// Observer for batch progress. Callbacks are serialized (never
-/// concurrent); onJobFinished arrives in completion order, which is not
-/// submission order.
-class TraceSink {
-public:
-  virtual ~TraceSink() = default;
-  virtual void onJobFinished(const JobTrace &job) { (void)job; }
-  virtual void onBatchFinished(const BatchTrace &trace) { (void)trace; }
-};
-
-/// Writes the finished batch's trace JSON to a file.
-class JsonFileTraceSink : public TraceSink {
-public:
-  explicit JsonFileTraceSink(std::string path) : path_(std::move(path)) {}
-  void onBatchFinished(const BatchTrace &trace) override;
-
-  bool ok() const { return error_.empty(); }
-  const std::string &error() const { return error_; }
-
-private:
-  std::string path_;
-  std::string error_ = "trace not written yet";
-};
-
 struct BatchOptions {
   /// Worker count for the private pool (0 = hardware concurrency).
   /// Ignored when `pool` is set.
   unsigned numThreads = 0;
   /// Run on an existing pool instead of creating a private one.
   ThreadPool *pool = nullptr;
-  /// Optional trace observer (not owned).
-  TraceSink *sink = nullptr;
 };
 
 struct BatchOutcome {

@@ -14,7 +14,6 @@
 
 #include <charconv>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 
 namespace mha::fuzz {
@@ -177,15 +176,11 @@ void writeArtifacts(FuzzFailure &failure, const FuzzOptions &options) {
   std::filesystem::create_directories(options.artifactsDir, ec);
   std::string stem = failure.mode + "-" + seedString(failure.programSeed);
   std::string jsonPath = options.artifactsDir + "/" + stem + ".repro.json";
-  std::ofstream jsonOut(jsonPath, std::ios::binary);
-  jsonOut << failure.reproJson(options.gen) << "\n";
-  if (jsonOut)
+  if (json::writeFile(jsonPath, failure.reproJson(options.gen) + "\n"))
     failure.artifactJsonPath = jsonPath;
   if (!failure.reducedLir.empty()) {
     std::string lirPath = options.artifactsDir + "/" + stem + ".lir";
-    std::ofstream lirOut(lirPath, std::ios::binary);
-    lirOut << failure.reducedLir;
-    if (lirOut)
+    if (writeTextFile(lirPath, failure.reducedLir))
       failure.artifactLirPath = lirPath;
   }
 }

@@ -6,6 +6,7 @@
 #include "mir/MContext.h"
 #include "mir/Parser.h"
 #include "support/Diagnostics.h"
+#include "support/Hash.h"
 #include "support/StringUtils.h"
 
 #include <optional>
@@ -13,14 +14,6 @@
 namespace mha::serve {
 
 namespace {
-
-/// First line of a (possibly multi-line) diagnostic dump — enough for a
-/// one-line error event; the full text stays on the daemon's stderr/log.
-std::string firstLine(const std::string &text) {
-  size_t eol = text.find('\n');
-  std::string line = eol == std::string::npos ? text : text.substr(0, eol);
-  return line.empty() ? "flow failed" : line;
-}
 
 flow::FlowOptions makeFlowOptions(const Request &req,
                                   const SessionOptions &options,
@@ -45,7 +38,11 @@ SessionOutcome finishFlow(const Request &req, const flow::FlowResult &result,
     return outcome;
   }
   outcome.code = result.cancelled ? errc::Cancelled : errc::FlowError;
-  emit(renderError(req.id, outcome.code, firstLine(result.diagnostics)));
+  // One line is enough for the error event; the full dump stays on the
+  // daemon's stderr/log.
+  std::string line = firstLine(result.diagnostics);
+  emit(renderError(req.id, outcome.code,
+                   line.empty() ? "flow failed" : line));
   return outcome;
 }
 
@@ -98,13 +95,8 @@ std::optional<std::string> nonDefaultKnob(const flow::KernelConfig &config) {
 } // namespace
 
 std::string inlineKernelName(const std::string &mlirText) {
-  // FNV-1a 64-bit over the raw module text.
-  uint64_t hash = 1469598103934665603ull;
-  for (unsigned char c : mlirText) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return strfmt("inline-%016llx", static_cast<unsigned long long>(hash));
+  return strfmt("inline-%016llx",
+                static_cast<unsigned long long>(hashString(mlirText)));
 }
 
 SessionOutcome runSession(const Request &req, const SessionOptions &options,

@@ -8,13 +8,14 @@
 //  * number() formats doubles locale-independently — printf's %f honours
 //    LC_NUMERIC and emits a decimal comma under e.g. de_DE, which is not
 //    valid JSON;
-//  * validate() is a dependency-free well-formedness checker used by
-//    tests and by the trace writers to fail loudly instead of shipping a
-//    broken file;
-//  * Value/parse() is a small DOM parser for the JSON the repo itself
-//    writes (DSE QoR caches, traces) — object member order is preserved
-//    and numbers are kept as doubles (exact for the int64 magnitudes the
-//    reports contain).
+//  * parse() and validate() share one recursive-descent reader: parse()
+//    builds a Value tree (object member order preserved, numbers kept as
+//    doubles — exact for the int64 magnitudes the reports contain), and
+//    validate() is its check-only mode, which builds nothing;
+//  * writeFile() is the one way a JSON artifact reaches disk (Chrome
+//    trace, metrics snapshot, batch trace, DSE report and cache, fuzz
+//    report and repro, bench rows): it validates first, so a malformed
+//    document fails loudly instead of shipping a broken file.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +103,17 @@ std::string number(double value, int precision = 3);
 std::string shortestDouble(double value);
 
 /// Returns true iff `text` is one complete well-formed JSON value with
-/// nothing but whitespace around it. On failure, `*error` (when non-null)
-/// describes the first problem and its byte offset.
+/// nothing but whitespace around it — exactly when parse() would succeed.
+/// On failure, `*error` (when non-null) describes the first problem and
+/// its byte offset, in the same words parse() uses. Both reject a number
+/// outside the double range (1e999).
 bool validate(std::string_view text, std::string *error = nullptr);
+
+/// Validates `text`, then writes it to `path` (binary, closed and checked).
+/// Returns false and fills `*error` (when non-null) when the text is
+/// malformed, in which case no file is created, or when the write fails.
+bool writeFile(const std::string &path, std::string_view text,
+               std::string *error = nullptr);
 
 /// Removes all insignificant whitespace from a JSON document (string-
 /// aware: whitespace inside string literals is preserved). Turns a

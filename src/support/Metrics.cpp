@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -403,38 +402,9 @@ std::string Snapshot::prometheus() const {
   return os.str();
 }
 
-namespace {
-
-bool writeTextFile(const std::string &path, const std::string &text,
-                   std::string *error) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    if (error)
-      *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << text;
-  out.close();
-  if (!out) {
-    if (error)
-      *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
-}
-
-} // namespace
-
 bool Registry::writeJsonFile(const std::string &path,
                              std::string *error) const {
-  std::string rendered = snapshot().json();
-  std::string validateError;
-  if (!json::validate(rendered, &validateError)) {
-    if (error)
-      *error = "metrics snapshot is not well-formed JSON: " + validateError;
-    return false;
-  }
-  return writeTextFile(path, rendered, error);
+  return json::writeFile(path, snapshot().json(), error);
 }
 
 bool Registry::writePrometheusFile(const std::string &path,

@@ -287,12 +287,13 @@ public:
   /// Merges every shard of every metric.
   Snapshot snapshot() const;
 
-  /// Validates and writes snapshot().json() to `path`. Returns false and
-  /// fills `*error` on malformed JSON (internal bug) or I/O failure.
+  /// Writes snapshot().json() to `path` through json::writeFile. Returns
+  /// false and fills `*error` on malformed JSON (internal bug) or I/O
+  /// failure.
   bool writeJsonFile(const std::string &path,
                      std::string *error = nullptr) const;
 
-  /// Validates nothing (text format); writes snapshot().prometheus().
+  /// Writes snapshot().prometheus() (text format, not validated).
   bool writePrometheusFile(const std::string &path,
                            std::string *error = nullptr) const;
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstring>
+#include <fstream>
 
 namespace mha {
 
@@ -46,6 +47,10 @@ std::vector<std::string> splitString(std::string_view text, char sep,
     start = pos + 1;
   }
   return out;
+}
+
+std::string firstLine(std::string_view text) {
+  return std::string(text.substr(0, text.find('\n')));
 }
 
 std::string_view trim(std::string_view text) {
@@ -119,6 +124,24 @@ bool isValidIdentifier(std::string_view name) {
   for (char c : name.substr(1))
     if (!isBody(c))
       return false;
+  return true;
+}
+
+bool writeTextFile(const std::string &path, std::string_view text,
+                   std::string *error) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    if (error)
+      *error = "cannot open " + path + " for writing";
+    return false;
+  }
+  out << text;
+  out.close();
+  if (!out) {
+    if (error)
+      *error = "write to " + path + " failed";
+    return false;
+  }
   return true;
 }
 

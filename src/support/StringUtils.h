@@ -1,4 +1,5 @@
-// StringUtils.h - string helpers used by printers, parsers and reports.
+// StringUtils.h - string helpers used by printers, parsers and reports,
+// and the checked text-file writer they share.
 #pragma once
 
 #include <cstdarg>
@@ -17,6 +18,10 @@ std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /// Splits `text` on `sep`, optionally keeping empty fields.
 std::vector<std::string> splitString(std::string_view text, char sep,
                                      bool keepEmpty = false);
+
+/// The text up to (not including) the first newline; all of `text` when
+/// it has none.
+std::string firstLine(std::string_view text);
 
 /// Removes leading/trailing whitespace.
 std::string_view trim(std::string_view text);
@@ -44,5 +49,11 @@ std::optional<int64_t> parseInt(std::string_view text);
 /// Rejects empty input, whitespace, trailing characters, hex/inf/nan
 /// forms and values outside the finite double range.
 std::optional<double> parseDouble(std::string_view text);
+
+/// Writes `text` to `path` (binary), closes the file and checks every
+/// step. Returns false and fills `*error` (when non-null) on failure.
+/// JSON artifacts go through json::writeFile, which validates first.
+bool writeTextFile(const std::string &path, std::string_view text,
+                   std::string *error = nullptr);
 
 } // namespace mha

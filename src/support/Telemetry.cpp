@@ -2,7 +2,6 @@
 
 #include "support/Json.h"
 
-#include <fstream>
 #include <sstream>
 
 namespace mha::telemetry {
@@ -184,30 +183,6 @@ std::string Tracer::chromeTraceJson() const {
   }
   os << "\n]\n}\n";
   return os.str();
-}
-
-bool Tracer::writeChromeTrace(const std::string &path,
-                              std::string *error) const {
-  std::string rendered = chromeTraceJson();
-  std::string validateError;
-  if (!json::validate(rendered, &validateError)) {
-    if (error)
-      *error = "chrome trace is not well-formed JSON: " + validateError;
-    return false;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    if (error)
-      *error = "cannot open " + path;
-    return false;
-  }
-  out << rendered;
-  if (!out.good()) {
-    if (error)
-      *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
 }
 
 } // namespace mha::telemetry

@@ -122,13 +122,8 @@ public:
   /// {"displayTimeUnit":"ms","traceEvents":[...]} with one thread_name
   /// metadata record per named lane. Loadable in chrome://tracing and
   /// Perfetto.
+  /// Tools write it with json::writeFile, which validates it first.
   std::string chromeTraceJson() const;
-
-  /// Validates and writes the Chrome trace to `path`. Returns false (and
-  /// fills `*error`) on I/O failure or if the rendered JSON is somehow
-  /// malformed — a trace file should never be silently unloadable.
-  bool writeChromeTrace(const std::string &path,
-                        std::string *error = nullptr) const;
 
 private:
   Tracer() : epoch_(Clock::now()) {}

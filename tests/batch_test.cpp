@@ -9,9 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 using namespace mha;
@@ -176,50 +173,6 @@ TEST(BatchRunner, TraceRecordsStagesAndWorkers) {
   EXPECT_NE(json.find("\"kernel\": \"gemm\""), std::string::npos);
   EXPECT_NE(json.find("\"stage\": \"bridge\""), std::string::npos);
   EXPECT_NE(json.find("adaptor.descriptors-eliminated"), std::string::npos);
-}
-
-TEST(BatchRunner, SinkObservesEveryJobAndTheBatch) {
-  struct CountingSink : TraceSink {
-    size_t jobCalls = 0;
-    size_t batchCalls = 0;
-    void onJobFinished(const JobTrace &) override { ++jobCalls; }
-    void onBatchFinished(const BatchTrace &trace) override {
-      ++batchCalls;
-      lastJobCount = trace.jobs.size();
-    }
-    size_t lastJobCount = 0;
-  } sink;
-
-  std::vector<BatchJob> jobs;
-  for (const char *name : {"gemm", "fir", "mvt"})
-    jobs.push_back(makeJob(findKernel(name), FlowKind::Adaptor));
-  BatchOptions options;
-  options.numThreads = 3;
-  options.sink = &sink;
-  runBatch(jobs, options);
-
-  EXPECT_EQ(sink.jobCalls, 3u);
-  EXPECT_EQ(sink.batchCalls, 1u);
-  EXPECT_EQ(sink.lastJobCount, 3u);
-}
-
-TEST(BatchRunner, JsonFileTraceSinkWritesFile) {
-  const char *path = "batch_trace_test.json";
-  JsonFileTraceSink sink(path);
-  std::vector<BatchJob> jobs;
-  jobs.push_back(makeJob(findKernel("gemm"), FlowKind::Adaptor));
-  BatchOptions options;
-  options.sink = &sink;
-  runBatch(jobs, options);
-  ASSERT_TRUE(sink.ok()) << sink.error();
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("mha.batch-trace.v1"), std::string::npos);
-  EXPECT_NE(buffer.str().find("\"kernel\": \"gemm\""), std::string::npos);
-  std::remove(path);
 }
 
 TEST(BatchRunner, TraceJsonIsWellFormed) {

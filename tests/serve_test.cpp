@@ -11,6 +11,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Session.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -213,6 +214,12 @@ TEST(ServeProtocol, InlineKernelNameIsContentAddressed) {
   EXPECT_EQ(inlineKernelName("module {}"), inlineKernelName("module {}"));
   EXPECT_NE(inlineKernelName("module {}"), inlineKernelName("module { }"));
   EXPECT_TRUE(startsWith(inlineKernelName("x"), "inline-"));
+  // The shared 64-bit FNV-1a of the text, as 16 hex digits.
+  for (const char *text : {"", "x", "module {}"})
+    EXPECT_EQ(inlineKernelName(text),
+              strfmt("inline-%016llx", static_cast<unsigned long long>(
+                                           hashString(text))));
+  EXPECT_EQ(inlineKernelName(""), "inline-cbf29ce484222325");
 }
 
 TEST(JsonCompact, StripsWhitespaceOutsideStringsOnly) {

@@ -12,9 +12,12 @@
 #include <chrono>
 #include <clocale>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <cwchar>
 
@@ -42,6 +45,13 @@ TEST(StringUtils, Trim) {
   EXPECT_EQ(trim("x"), "x");
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim("\ta b\n"), "a b");
+}
+
+TEST(StringUtils, FirstLine) {
+  EXPECT_EQ(firstLine("one\ntwo\nthree"), "one");
+  EXPECT_EQ(firstLine("no newline"), "no newline");
+  EXPECT_EQ(firstLine("\nafter"), "");
+  EXPECT_EQ(firstLine(""), "");
 }
 
 TEST(StringUtils, StartsEndsWith) {
@@ -230,6 +240,64 @@ TEST(Json, ParseRoundTripsEmittedDocuments) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->get("label")->asString(), "a\"b\\c\nd");
   EXPECT_DOUBLE_EQ(doc->get("value")->asDouble(), 12.625);
+}
+
+TEST(Json, ValidateAndParseShareOneGrammar) {
+  // validate() is parse()'s check-only mode: both accept the same inputs
+  // and reject the rest with the same words at the same offset.
+  std::string atLimit = std::string(129, '[') + std::string(129, ']');
+  std::string pastLimit = std::string(130, '[') + std::string(130, ']');
+  struct Case {
+    std::string text;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"01", false},           {"1.5.5", false},
+      {"-", false},            {"1e", false},
+      {"1e+", false},          {"-0", true},
+      {"2E-3", true},          {"1e999", false},
+      {"\"\\u00e9\"", true},   {"\"\\uZZ\"", false},
+      {"\"\\q\"", false},      {"\"a\tb\"", false},
+      {atLimit, true},         {pastLimit, false},
+      {"[1] x", false},        {"", false},
+  };
+  for (const Case &c : cases) {
+    std::string validateError = "unset", parseError = "unset";
+    bool valid = json::validate(c.text, &validateError);
+    bool parsed = json::parse(c.text, &parseError).has_value();
+    EXPECT_EQ(valid, c.ok) << c.text << ": " << validateError;
+    EXPECT_EQ(parsed, c.ok) << c.text << ": " << parseError;
+    if (!c.ok) {
+      EXPECT_EQ(validateError, parseError) << c.text;
+    }
+  }
+  std::string error;
+  EXPECT_FALSE(json::validate("01", &error));
+  EXPECT_EQ(error, "trailing characters after value at offset 1");
+  EXPECT_FALSE(json::validate(pastLimit, &error));
+  EXPECT_EQ(error, "nesting too deep at offset 129");
+}
+
+TEST(Json, WriteFileValidatesThenWrites) {
+  const std::string path = "json_write_file_test.json";
+  std::remove(path.c_str());
+  std::string error;
+  ASSERT_TRUE(json::writeFile(path, "{\"a\": [1, 2]}\n", &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  EXPECT_EQ(buffer.str(), "{\"a\": [1, 2]}\n");
+  in.close();
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(json::writeFile("/nonexistent-dir-for-json-test/a.json",
+                               "{}", &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+
+  // Malformed text is refused before the file is created.
+  EXPECT_FALSE(json::writeFile(path, "{\"a\": }", &error));
+  EXPECT_NE(error.find("not well-formed JSON"), std::string::npos) << error;
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 TEST(Diagnostics, CollectsAndCounts) {

@@ -238,7 +238,9 @@ TEST(Tracer, WriteChromeTraceRoundTrips) {
   { Span span("to-disk", "test"); }
   const char *path = "telemetry_chrome_test.json";
   std::string error;
-  ASSERT_TRUE(Tracer::global().writeChromeTrace(path, &error)) << error;
+  ASSERT_TRUE(json::writeFile(path, Tracer::global().chromeTraceJson(),
+                              &error))
+      << error;
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::ostringstream buffer;

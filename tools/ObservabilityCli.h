@@ -20,9 +20,11 @@
 // exporter), finish() after it (final snapshot writes; failures make the
 // tool exit non-zero). With none of the flags given, both are no-ops and
 // the tool's output is byte-identical to a build without this layer.
+// writeJsonArtifact() is how the tools write their other JSON files.
 #pragma once
 
 #include "support/EventLog.h"
+#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
 
@@ -102,6 +104,20 @@ inline bool parseFlag(const std::string &arg, Options &opts, bool &ok) {
     return true;
   }
   return false;
+}
+
+/// Writes one JSON artifact through json::writeFile and reports it on
+/// stderr: "<what> written to <path>", or "<what>: <error>" and false, on
+/// which the tool exits 1.
+inline bool writeJsonArtifact(const char *what, const std::string &path,
+                              std::string_view text) {
+  std::string error;
+  if (!json::writeFile(path, text, &error)) {
+    std::fprintf(stderr, "%s: %s\n", what, error.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
+  return true;
 }
 
 /// Observability lifecycle around a tool run. begin() before the work,

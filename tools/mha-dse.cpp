@@ -196,10 +196,8 @@ int main(int argc, char **argv) {
       }
       text += "]}";
       std::string error;
-      if (json::validate(text, &error)) {
-        std::ofstream out(jsonPath, std::ios::binary);
-        out << text;
-      }
+      if (!json::writeFile(jsonPath, text, &error))
+        std::fprintf(stderr, "dse report: %s\n", error.c_str());
     }
     return 2;
   }
@@ -342,41 +340,22 @@ int main(int argc, char **argv) {
   }
 
   int status = failures == 0 ? 0 : 1;
-  if (!jsonPath.empty()) {
-    std::string text = result->json();
-    std::string error;
-    if (!json::validate(text, &error)) {
-      std::fprintf(stderr, "json: internal error, malformed output: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    std::ofstream out(jsonPath, std::ios::binary);
-    out << text;
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "json: cannot write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "dse report written to %s\n", jsonPath.c_str());
-  }
+  if (!jsonPath.empty() &&
+      !obscli::writeJsonArtifact("dse report", jsonPath, result->json()))
+    return 1;
   if (!cachePath.empty()) {
     std::string error;
-    if (!evaluator.saveCacheFile(cachePath, &error)) {
+    if (!json::writeFile(cachePath, evaluator.cacheJson(), &error)) {
       std::fprintf(stderr, "cache: %s\n", error.c_str());
       return 1;
     }
     std::fprintf(stderr, "cache: %zu entries written to %s\n",
                  evaluator.cacheSize(), cachePath.c_str());
   }
-  if (!chromeTracePath.empty()) {
-    std::string error;
-    if (!tracer.writeChromeTrace(chromeTracePath, &error)) {
-      std::fprintf(stderr, "chrome trace: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "chrome trace written to %s\n",
-                 chromeTracePath.c_str());
-  }
+  if (!chromeTracePath.empty() &&
+      !obscli::writeJsonArtifact("chrome trace", chromeTracePath,
+                                 tracer.chromeTraceJson()))
+    return 1;
   if (statsFlag)
     std::fprintf(stderr, "%s", metrics::statisticsReport().c_str());
   if (!obs.finish())

@@ -254,11 +254,8 @@ int main(int argc, char **argv) {
     for (flow::FlowKind kind : kinds)
       jobs.push_back({spec, config, kind, flowOptions, ""});
 
-  flow::JsonFileTraceSink traceSink(tracePath);
   flow::BatchOptions options;
   options.numThreads = batch ? static_cast<unsigned>(threads) : 1;
-  if (!tracePath.empty())
-    options.sink = &traceSink;
   elog::info("flow", "batch starting",
              {{"jobs", strfmt("%zu", jobs.size())},
               {"threads", strfmt("%u", options.numThreads)}});
@@ -342,22 +339,13 @@ int main(int argc, char **argv) {
                  100.0 * cache.hitRate(),
                  static_cast<long long>(cache.bytes()));
   }
-  if (!tracePath.empty()) {
-    if (!traceSink.ok()) {
-      std::fprintf(stderr, "trace: %s\n", traceSink.error().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace written to %s\n", tracePath.c_str());
-  }
-  if (!chromeTracePath.empty()) {
-    std::string error;
-    if (!tracer.writeChromeTrace(chromeTracePath, &error)) {
-      std::fprintf(stderr, "chrome trace: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "chrome trace written to %s\n",
-                 chromeTracePath.c_str());
-  }
+  if (!tracePath.empty() &&
+      !obscli::writeJsonArtifact("trace", tracePath, outcome.trace.json()))
+    return 1;
+  if (!chromeTracePath.empty() &&
+      !obscli::writeJsonArtifact("chrome trace", chromeTracePath,
+                                 tracer.chromeTraceJson()))
+    return 1;
   if (!obs.finish())
     return 1;
   return failures == 0 ? 0 : 1;

@@ -25,7 +25,6 @@
 #include "fuzz/Fuzz.h"
 #include "lir/Function.h"
 #include "lir/Instruction.h"
-#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -218,31 +217,13 @@ int main(int argc, char **argv) {
     status = report.clean() ? 0 : 1;
   }
 
-  if (!jsonPath.empty()) {
-    std::string error;
-    if (!json::validate(reportJson, &error)) {
-      std::fprintf(stderr, "json: internal error, malformed output: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    std::ofstream out(jsonPath, std::ios::binary);
-    out << reportJson;
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "json: cannot write %s\n", jsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "fuzz report written to %s\n", jsonPath.c_str());
-  }
-  if (!chromeTracePath.empty()) {
-    std::string error;
-    if (!tracer.writeChromeTrace(chromeTracePath, &error)) {
-      std::fprintf(stderr, "chrome trace: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "chrome trace written to %s\n",
-                 chromeTracePath.c_str());
-  }
+  if (!jsonPath.empty() &&
+      !obscli::writeJsonArtifact("fuzz report", jsonPath, reportJson))
+    return 1;
+  if (!chromeTracePath.empty() &&
+      !obscli::writeJsonArtifact("chrome trace", chromeTracePath,
+                                 tracer.chromeTraceJson()))
+    return 1;
   if (statsFlag)
     std::fprintf(stderr, "%s", metrics::statisticsReport().c_str());
   if (!obs.finish())

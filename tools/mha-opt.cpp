@@ -228,15 +228,10 @@ int main(int argc, char **argv) {
     }
     if (timePasses)
       std::fprintf(stderr, "%s", metrics::passTimesTable().c_str());
-    if (!chromeTracePath.empty()) {
-      std::string error;
-      if (!tracer.writeChromeTrace(chromeTracePath, &error)) {
-        std::fprintf(stderr, "chrome trace: %s\n", error.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "chrome trace written to %s\n",
-                   chromeTracePath.c_str());
-    }
+    if (!chromeTracePath.empty() &&
+        !obscli::writeJsonArtifact("chrome trace", chromeTracePath,
+                                   tracer.chromeTraceJson()))
+      return 1;
     if (!ok)
       return 1;
   }
