@@ -161,14 +161,7 @@ inline void mustCosim(const flow::FlowResult &result,
 /// rows, which must be byte-identical to a serial run.
 inline flow::BatchOutcome runBenchBatch(const std::vector<flow::BatchJob> &jobs) {
   flow::BatchOutcome outcome = flow::runBatch(jobs);
-  std::fprintf(stderr,
-               "[batch] %zu jobs on %u threads: %.0f ms wall, %.0f ms "
-               "serial (%.2fx)\n",
-               outcome.trace.jobCount, outcome.trace.threads,
-               outcome.trace.wallMs, outcome.trace.serialMs,
-               outcome.trace.wallMs > 0
-                   ? outcome.trace.serialMs / outcome.trace.wallMs
-                   : 0.0);
+  std::fprintf(stderr, "[batch] %s\n", outcome.trace.summary().c_str());
   return outcome;
 }
 

@@ -28,7 +28,8 @@ metrics::Counter &numProbeRuns = metrics::statistic(
 /// Evaluator latency histograms: where a design point's answer came from
 /// and what it cost. synth = a full virtual-synthesis flow run; estimate
 /// = the analytical model; cache_wait = idle time blocked on another
-/// thread's in-flight synthesis of the same point.
+/// thread's in-flight synthesis of the same point. Each sample is the
+/// finish() of the span around the same work.
 metrics::Histogram &synthUsHistogram() {
   static metrics::Histogram &hist = metrics::Registry::global().histogram(
       "mha_dse_synth_us", "full synthesis flow latency per design point");
@@ -56,11 +57,7 @@ Evaluator::Evaluator(const flow::KernelSpec &spec, EvaluatorOptions options)
 
 Evaluator::~Evaluator() = default;
 
-QoR Evaluator::runFlow(const flow::KernelConfig &config,
-                       const std::string &key) {
-  telemetry::Span span(strfmt("dse:evaluate:%s", spec_->name.c_str()), "dse",
-                       {{"kernel", spec_->name}, {"config", key}});
-  metrics::Timer timer(synthUsHistogram());
+QoR Evaluator::runFlow(const flow::KernelConfig &config) {
   QoR qor;
   flow::FlowResult result = flow::runAdaptorFlow(*spec_, config,
                                                  options_.flow);
@@ -106,18 +103,21 @@ QoR Evaluator::evaluate(const flow::KernelConfig &config) {
       telemetry::Span span(strfmt("dse:cache-wait:%s", spec_->name.c_str()),
                            "dse",
                            {{"kernel", spec_->name}, {"config", key}});
-      metrics::Timer timer(cacheWaitUsHistogram());
       ++cacheWaits_;
       ++numCacheWaits;
       while (!entry.done)
         ready_.wait(lock);
+      cacheWaitUsHistogram().recordMs(span.finish());
     }
     ++cacheHits_;
     ++numCacheHits;
     return entry.qor;
   }
   lock.unlock();
-  QoR qor = runFlow(config, key);
+  telemetry::Span span(strfmt("dse:evaluate:%s", spec_->name.c_str()), "dse",
+                       {{"kernel", spec_->name}, {"config", key}});
+  QoR qor = runFlow(config);
+  synthUsHistogram().recordMs(span.finish());
   lock.lock();
   entry.qor = qor;
   entry.done = true;
@@ -184,17 +184,19 @@ const QoREstimation *Evaluator::estimator(bool buildIfNeeded) {
 
 QoR Evaluator::estimate(const flow::KernelConfig &config) {
   const QoREstimation *est = estimator();
-  metrics::Timer timer(estimateUsHistogram());
+  telemetry::Span span("dse:estimate", "dse");
   estimates_.fetch_add(1, std::memory_order_relaxed);
   ++numEstimates;
-  if (!est) {
-    QoR qor;
+  QoR qor;
+  if (est) {
+    qor = est->estimate(config);
+  } else {
     std::lock_guard<std::mutex> lock(estimatorMutex_);
     qor.error = estimatorError_.empty() ? "estimator unavailable"
                                         : estimatorError_;
-    return qor;
   }
-  return est->estimate(config);
+  estimateUsHistogram().recordMs(span.finish());
+  return qor;
 }
 
 std::vector<QoR>
@@ -308,32 +310,41 @@ bool Evaluator::loadCacheJson(std::string_view text, std::string *error) {
       *error = "cache document has no 'entries' array";
     return false;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Read every entry before merging any, so a bad field refuses the
+  // whole document instead of resuming a half-loaded cache.
+  std::vector<std::pair<std::string, QoR>> loaded;
   for (const json::Value &item : entries->elements()) {
     const json::Value *key = item.get("key");
     if (!key || !key->isString())
       continue;
-    auto [it, inserted] = cache_.try_emplace(key->asString());
-    if (!inserted)
-      continue; // existing (possibly fresher) entry wins
-    Entry &entry = it->second;
-    entry.done = true;
-    auto intField = [&](const char *name) {
+    QoR qor;
+    for (auto [name, field] : {std::pair{"latency", &qor.latencyCycles},
+                               std::pair{"dsp", &qor.dsp},
+                               std::pair{"bram", &qor.bram},
+                               std::pair{"lut", &qor.lut},
+                               std::pair{"ff", &qor.ff}}) {
       const json::Value *v = item.get(name);
-      return v ? v->asInt() : 0;
-    };
+      std::optional<int64_t> n = v ? v->asInt() : 0;
+      if (!n) {
+        if (error)
+          *error = strfmt("cache entry '%s': '%s' is not an integer in "
+                          "int64 range",
+                          key->asString().c_str(), name);
+        return false;
+      }
+      *field = *n;
+    }
     const json::Value *ok = item.get("ok");
     const json::Value *cosimOk = item.get("cosim_ok");
-    entry.qor.ok = ok && ok->asBool();
-    entry.qor.cosimOk = !cosimOk || cosimOk->asBool();
-    entry.qor.latencyCycles = intField("latency");
-    entry.qor.dsp = intField("dsp");
-    entry.qor.bram = intField("bram");
-    entry.qor.lut = intField("lut");
-    entry.qor.ff = intField("ff");
+    qor.ok = ok && ok->asBool();
+    qor.cosimOk = !cosimOk || cosimOk->asBool();
     if (const json::Value *err = item.get("error"))
-      entry.qor.error = err->asString();
+      qor.error = err->asString();
+    loaded.emplace_back(key->asString(), std::move(qor));
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto &[key, qor] : loaded) // existing (possibly fresher) entries win
+    cache_.try_emplace(std::move(key), Entry{true, std::move(qor)});
   return true;
 }
 

@@ -114,7 +114,9 @@ public:
   /// Renders the cache as JSON (schema "mha.dse.cache.v1", stable order).
   std::string cacheJson() const;
   /// Merges entries from a cache JSON document. Rejects documents with a
-  /// different schema or kernel. Existing entries win on key collision.
+  /// different schema or kernel, and the whole document when any entry's
+  /// QoR field is not an integer in int64 range (`*error` names it).
+  /// Existing entries win on key collision.
   bool loadCacheJson(std::string_view text, std::string *error = nullptr);
 
   /// Reads a cache file for --resume (written with json::writeFile of
@@ -127,7 +129,7 @@ private:
     QoR qor;
   };
 
-  QoR runFlow(const flow::KernelConfig &config, const std::string &key);
+  QoR runFlow(const flow::KernelConfig &config);
   void seedProbe(const flow::KernelConfig &config, const QoR &qor);
 
   const flow::KernelSpec *spec_;

@@ -16,10 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double msBetween(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
 /// Exact nearest-rank percentile over sorted values (p in [0, 100]).
 double exactPercentile(const std::vector<double> &sorted, double p) {
   if (sorted.empty())
@@ -34,15 +30,14 @@ double exactPercentile(const std::vector<double> &sorted, double p) {
 /// Runs one job with full error containment: any exception becomes a
 /// failed FlowResult instead of escaping into the pool. The flow driver
 /// closes the total window on every return; a contained exception gets
-/// the time the job ran before it threw.
-FlowResult runJobContained(const BatchJob &job) {
-  Clock::time_point start = Clock::now();
+/// the time the job ran before it threw, from the job's span.
+FlowResult runJobContained(const BatchJob &job, telemetry::Span &jobSpan) {
   auto failed = [&](std::string diagnostics) {
     FlowResult result;
     result.kind = job.kind;
     result.kernelName = job.spec ? job.spec->name : "<null>";
     result.diagnostics = std::move(diagnostics);
-    result.timings.totalMs = msBetween(start, Clock::now());
+    result.timings.totalMs = jobSpan.finish();
     return result;
   };
   try {
@@ -60,47 +55,53 @@ FlowResult runJobContained(const BatchJob &job) {
 
 } // namespace
 
-std::string BatchTrace::json() const {
+std::string BatchTrace::summary() const {
+  return strfmt("%zu jobs on %u threads: %.0f ms wall, %.0f ms serial "
+                "(%.2fx)",
+                jobCount, threads, wallMs, serialMs, speedup());
+}
+
+std::string BatchOutcome::traceJson() const {
   std::ostringstream os;
   os << "{\n  \"schema\": \"mha.batch-trace.v1\",\n";
-  os << strfmt("  \"threads\": %u,\n", threads);
-  os << strfmt("  \"job_count\": %zu,\n  \"failures\": %zu,\n", jobCount,
-               failures);
-  os << "  \"wall_ms\": " << json::number(wallMs)
-     << ",\n  \"serial_ms\": " << json::number(serialMs) << ",\n";
-  os << "  \"speedup\": "
-     << json::number(wallMs > 0 ? serialMs / wallMs : 0.0) << ",\n";
-  os << "  \"e2e_ms_p50\": " << json::number(e2eP50Ms)
-     << ",\n  \"e2e_ms_p90\": " << json::number(e2eP90Ms)
-     << ",\n  \"e2e_ms_p99\": " << json::number(e2eP99Ms) << ",\n";
+  os << strfmt("  \"threads\": %u,\n", trace.threads);
+  os << strfmt("  \"job_count\": %zu,\n  \"failures\": %zu,\n",
+               trace.jobCount, trace.failures);
+  os << "  \"wall_ms\": " << json::number(trace.wallMs)
+     << ",\n  \"serial_ms\": " << json::number(trace.serialMs) << ",\n";
+  os << "  \"speedup\": " << json::number(trace.speedup()) << ",\n";
+  os << "  \"e2e_ms_p50\": " << json::number(trace.e2eP50Ms)
+     << ",\n  \"e2e_ms_p90\": " << json::number(trace.e2eP90Ms)
+     << ",\n  \"e2e_ms_p99\": " << json::number(trace.e2eP99Ms) << ",\n";
   os << "  \"jobs_per_worker\": [";
-  for (size_t w = 0; w < jobsPerWorker.size(); ++w)
-    os << (w ? ", " : "") << jobsPerWorker[w];
+  for (size_t w = 0; w < trace.jobsPerWorker.size(); ++w)
+    os << (w ? ", " : "") << trace.jobsPerWorker[w];
   os << "],\n";
   os << "  \"jobs\": [\n";
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const JobTrace &job = jobs[i];
+  for (size_t i = 0; i < trace.jobs.size(); ++i) {
+    const JobTrace &job = trace.jobs[i];
+    const FlowResult &result = results[i];
     os << "    {\n";
-    os << strfmt("      \"index\": %zu,\n", job.index);
-    os << "      \"kernel\": \"" << json::escape(job.kernel) << "\",\n";
+    os << strfmt("      \"index\": %zu,\n", i);
+    os << "      \"kernel\": \"" << json::escape(result.kernelName) << "\",\n";
     os << "      \"label\": \"" << json::escape(job.label) << "\",\n";
-    os << "      \"flow\": \"" << flowKindName(job.kind) << "\",\n";
-    os << "      \"ok\": " << (job.ok ? "true" : "false") << ",\n";
-    os << "      \"accepted\": " << (job.accepted ? "true" : "false")
+    os << "      \"flow\": \"" << flowKindName(result.kind) << "\",\n";
+    os << "      \"ok\": " << (result.ok ? "true" : "false") << ",\n";
+    os << "      \"accepted\": " << (result.synth.accepted ? "true" : "false")
        << ",\n";
     os << strfmt("      \"worker\": %d,\n", job.worker);
     os << "      \"queue_ms\": " << json::number(job.queueMs) << ",\n";
     os << "      \"wall_ms\": " << json::number(job.wallMs) << ",\n";
     os << strfmt("      \"queue_depth_at_start\": %zu,\n",
                  job.queueDepthAtStart);
-    os << "      \"timings\": {\"mlir_opt_ms\": "
-       << json::number(job.timings.mlirOptMs)
-       << ", \"bridge_ms\": " << json::number(job.timings.bridgeMs)
-       << ", \"synth_ms\": " << json::number(job.timings.synthMs)
-       << ", \"total_ms\": " << json::number(job.timings.totalMs) << "},\n";
+    const StageTimings &t = result.timings;
+    os << "      \"timings\": {\"mlir_opt_ms\": " << json::number(t.mlirOptMs)
+       << ", \"bridge_ms\": " << json::number(t.bridgeMs)
+       << ", \"synth_ms\": " << json::number(t.synthMs)
+       << ", \"total_ms\": " << json::number(t.totalMs) << "},\n";
     os << "      \"spans\": [";
-    for (size_t s = 0; s < job.spans.size(); ++s) {
-      const StageSpan &span = job.spans[s];
+    for (size_t s = 0; s < result.spans.size(); ++s) {
+      const StageSpan &span = result.spans[s];
       os << (s ? ", " : "") << "{\"stage\": \"" << json::escape(span.stage)
          << "\", \"name\": \"" << json::escape(span.name)
          << "\", \"ms\": " << json::number(span.ms) << "}";
@@ -108,15 +109,17 @@ std::string BatchTrace::json() const {
     os << "],\n";
     os << "      \"adaptor_stats\": {";
     bool first = true;
-    for (const auto &[key, value] : job.adaptorStats) {
+    for (const auto &[key, value] : result.adaptorStats) {
       os << (first ? "" : ", ") << "\"" << json::escape(key)
          << "\": " << value;
       first = false;
     }
     os << "}";
-    if (!job.error.empty())
-      os << ",\n      \"error\": \"" << json::escape(job.error) << "\"";
-    os << "\n    }" << (i + 1 < jobs.size() ? "," : "") << "\n";
+    if (!result.ok) {
+      if (std::string error = firstLine(result.diagnostics); !error.empty())
+        os << ",\n      \"error\": \"" << json::escape(error) << "\"";
+    }
+    os << "\n    }" << (i + 1 < trace.jobs.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   return os.str();
@@ -143,60 +146,47 @@ BatchOutcome runBatch(const std::vector<BatchJob> &jobs,
   // shows one lane per pool worker with the per-job flow-stage/pass spans
   // nested beneath the job.
   telemetry::Span batchSpan(strfmt("batch:%zu-jobs", jobs.size()), "batch");
-  auto batchStart = Clock::now();
   TaskGroup group(*pool);
   for (size_t i = 0; i < jobs.size(); ++i) {
     auto submitted = Clock::now();
     group.submit([&, i, submitted] {
       const BatchJob &job = jobs[i];
       JobTrace &trace = out.trace.jobs[i];
-      trace.index = i;
-      trace.kernel = job.spec ? job.spec->name : "<null>";
       trace.label = job.label;
-      trace.kind = job.kind;
       trace.worker = ThreadPool::currentWorkerIndex();
       trace.queueDepthAtStart = pool->queueDepth();
       if (trace.worker >= 0)
         telemetry::Tracer::setThreadLane(trace.worker,
                                          strfmt("worker %d", trace.worker));
 
-      auto start = Clock::now();
-      trace.queueMs = msBetween(submitted, start);
+      trace.queueMs = std::chrono::duration<double, std::milli>(
+                          Clock::now() - submitted)
+                          .count();
+      const char *kernel = job.spec ? job.spec->name.c_str() : "<null>";
       telemetry::Span jobSpan(
-          strfmt("job:%s:%s", trace.kernel.c_str(), flowKindName(job.kind)),
-          "batch-job",
+          strfmt("job:%s:%s", kernel, flowKindName(job.kind)), "batch-job",
           {{"index", strfmt("%zu", i)}, {"label", job.label}});
-      FlowResult result = runJobContained(job);
+      out.results[i] = runJobContained(job, jobSpan);
       trace.wallMs = jobSpan.finish();
-
-      trace.ok = result.ok;
-      trace.accepted = result.synth.accepted;
-      trace.timings = result.timings;
-      trace.spans = result.spans;
-      trace.adaptorStats = result.adaptorStats;
-      if (!result.ok) {
-        trace.error = firstLine(result.diagnostics);
-        telemetry::Tracer::global().instant(
-            strfmt("job-failed:%s", trace.kernel.c_str()), "batch-job");
-      }
-      out.results[i] = std::move(result);
+      if (!out.results[i].ok)
+        telemetry::Tracer::global().instant(strfmt("job-failed:%s", kernel),
+                                            "batch-job");
     });
   }
   group.wait();
-  batchSpan.finish();
-  out.trace.wallMs = msBetween(batchStart, Clock::now());
+  out.trace.wallMs = batchSpan.finish();
 
   static metrics::Histogram &jobE2eUs = metrics::Registry::global().histogram(
       "mha_batch_job_e2e_us",
       "per-job end-to-end latency (queue wait + flow execution)");
   std::vector<double> e2eMs;
   e2eMs.reserve(out.trace.jobs.size());
-  for (const JobTrace &trace : out.trace.jobs) {
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const JobTrace &trace = out.trace.jobs[i];
     out.trace.serialMs += trace.wallMs;
     e2eMs.push_back(trace.queueMs + trace.wallMs);
-    jobE2eUs.record(
-        static_cast<int64_t>((trace.queueMs + trace.wallMs) * 1000.0));
-    if (!trace.ok)
+    jobE2eUs.recordMs(trace.queueMs + trace.wallMs);
+    if (!out.results[i].ok)
       ++out.trace.failures;
     if (trace.worker >= 0 &&
         static_cast<size_t>(trace.worker) < out.trace.jobsPerWorker.size())

@@ -10,9 +10,11 @@
 // recorded as a failed FlowResult with the exception text in
 // `diagnostics` and never kills the batch.
 //
-// Every run produces a structured trace (per-stage timings, adaptor pass
-// statistics, accept/reject status, worker/queue occupancy) that renders
-// as JSON — the machine-readable record the benches and
+// Every run produces a structured trace of what the results lack: per-job
+// label, queue wait, wall time, worker and queue depth, plus batch-wide
+// occupancy. BatchOutcome::traceJson() renders it beside each job's
+// result (kernel, flow, status, stage timings and spans, adaptor pass
+// statistics, error line) — the machine-readable record the benches and
 // `mha-flow --batch --trace=out.json` dump. The JSON schema is documented
 // in DESIGN.md ("Batch trace JSON").
 #pragma once
@@ -32,24 +34,16 @@ struct BatchJob {
   std::string label;
 };
 
-/// Per-job trace record. Wall time is measured inside the job (from the
-/// worker thread, around the flow call only), so it excludes queueing and
-/// harness overhead — Table 4 relies on that.
+/// What a job's FlowResult does not say about it. Wall time is the job
+/// span's finish(), taken inside the job on the worker thread around the
+/// flow call only, so it excludes queueing and harness overhead — Table 4
+/// relies on that.
 struct JobTrace {
-  size_t index = 0; // submission order
-  std::string kernel;
   std::string label;
-  FlowKind kind = FlowKind::Adaptor;
-  bool ok = false;
-  bool accepted = false;
   double queueMs = 0;           // submit -> start of execution
   double wallMs = 0;            // flow execution only, measured in-job
   int worker = -1;              // pool worker that ran the job
   size_t queueDepthAtStart = 0; // queued jobs when this one started
-  StageTimings timings;
-  std::vector<StageSpan> spans;
-  lir::PassStats adaptorStats;
-  std::string error; // first diagnostic line / exception text when failed
 };
 
 /// Whole-batch trace: per-job records in submission order plus occupancy.
@@ -57,7 +51,7 @@ struct BatchTrace {
   unsigned threads = 0;
   size_t jobCount = 0;
   size_t failures = 0;
-  double wallMs = 0;   // whole-batch wall clock (harness view)
+  double wallMs = 0;   // the batch span's finish() (harness view)
   double serialMs = 0; // sum of per-job wall times (the serial cost)
   /// Per-job end-to-end latency (queueMs + wallMs) percentiles, computed
   /// exactly (nearest-rank over the sorted per-job values, not bucketed).
@@ -65,12 +59,13 @@ struct BatchTrace {
   double e2eP50Ms = 0;
   double e2eP90Ms = 0;
   double e2eP99Ms = 0;
-  std::vector<JobTrace> jobs;
+  std::vector<JobTrace> jobs; // parallel to BatchOutcome::results
   std::vector<size_t> jobsPerWorker; // occupancy histogram, one per worker
 
-  /// Renders the trace as JSON (schema "mha.batch-trace.v1", stable key
-  /// order) for downstream tooling.
-  std::string json() const;
+  double speedup() const { return wallMs > 0 ? serialMs / wallMs : 0.0; }
+  /// "N jobs on T threads: W ms wall, S ms serial (X.XXx)", the one
+  /// summary line mha-flow and the benches print.
+  std::string summary() const;
 };
 
 struct BatchOptions {
@@ -86,6 +81,10 @@ struct BatchOutcome {
   /// with `ok == false` and the failure text in `diagnostics`).
   std::vector<FlowResult> results;
   BatchTrace trace;
+
+  /// Renders the trace with each job's result as JSON (schema
+  /// "mha.batch-trace.v1", stable key order) for downstream tooling.
+  std::string traceJson() const;
 };
 
 /// Runs every job across the pool and waits for all of them.

@@ -434,11 +434,9 @@ bool runStage(const StageRow &row, FlowState &s, bool &hit) {
     return row.run(s);
   static metrics::Histogram &keyUs = metrics::Registry::global().histogram(
       "mha_stage_cache_key_us", "stage-cache key computation time");
-  uint64_t key;
-  {
-    metrics::Timer timer(keyUs);
-    key = row.key(s);
-  }
+  telemetry::Span keySpan("stage-key", "stage-cache");
+  uint64_t key = row.key(s);
+  keyUs.recordMs(keySpan.finish());
   StageCache &cache = StageCache::global();
   std::any cached;
   if (cache.lookup(row.cacheStage, key, cached)) {

@@ -79,22 +79,27 @@ std::string genOptionsJson(const GenOptions &gen) {
                 gen.maxCallOps, gen.callArgSets);
 }
 
-std::optional<GenOptions> genOptionsFromJson(const json::Value &v) {
+/// Reads a reproducer's generator options (absent fields keep their
+/// defaults); a field that is not an integer within int is refused.
+std::optional<GenOptions> genOptionsFromJson(const json::Value &v,
+                                             std::string &error) {
   GenOptions gen;
-  if (!v.isObject())
-    return std::nullopt;
-  auto field = [&](const char *name, int fallback) {
+  for (auto [name, field] : {std::pair{"maxLoopDepth", &gen.maxLoopDepth},
+                             std::pair{"maxStmts", &gen.maxStmts},
+                             std::pair{"maxExprDepth", &gen.maxExprDepth},
+                             std::pair{"maxIrInsts", &gen.maxIrInsts},
+                             std::pair{"irArgSets", &gen.irArgSets},
+                             std::pair{"maxCallHelpers", &gen.maxCallHelpers},
+                             std::pair{"maxCallOps", &gen.maxCallOps},
+                             std::pair{"callArgSets", &gen.callArgSets}}) {
     const json::Value *m = v.get(name);
-    return m ? static_cast<int>(m->asInt(fallback)) : fallback;
-  };
-  gen.maxLoopDepth = field("maxLoopDepth", gen.maxLoopDepth);
-  gen.maxStmts = field("maxStmts", gen.maxStmts);
-  gen.maxExprDepth = field("maxExprDepth", gen.maxExprDepth);
-  gen.maxIrInsts = field("maxIrInsts", gen.maxIrInsts);
-  gen.irArgSets = field("irArgSets", gen.irArgSets);
-  gen.maxCallHelpers = field("maxCallHelpers", gen.maxCallHelpers);
-  gen.maxCallOps = field("maxCallOps", gen.maxCallOps);
-  gen.callArgSets = field("callArgSets", gen.callArgSets);
+    std::optional<int64_t> n = m ? m->asInt() : *field;
+    if (!n || *n != static_cast<int>(*n)) {
+      error = strfmt("reproducer gen option '%s' is not an int", name);
+      return std::nullopt;
+    }
+    *field = static_cast<int>(*n);
+  }
   return gen;
 }
 
@@ -357,9 +362,12 @@ std::optional<FuzzFailure> replayRepro(const std::string &reproJson,
     return std::nullopt;
   }
   FuzzOptions replay = options;
-  if (const json::Value *gen = doc->get("gen"))
-    if (std::optional<GenOptions> parsed = genOptionsFromJson(*gen))
-      replay.gen = *parsed;
+  if (const json::Value *gen = doc->get("gen")) {
+    std::optional<GenOptions> parsed = genOptionsFromJson(*gen, error);
+    if (!parsed)
+      return std::nullopt;
+    replay.gen = *parsed;
+  }
 
   std::optional<FuzzFailure> failure =
       checkOne(mode->asString(), *seed, replay);

@@ -68,7 +68,6 @@ bool PassManager::run(Module &module, DiagnosticEngine &diags) {
   for (auto &pass : passes_) {
     PassRunRecord record;
     record.passName = pass->name();
-    countModuleSize(module, record.instsBefore, record.blocksBefore);
     for (PassInstrumentation *instrumentation : instrumentations_)
       instrumentation->beforePass(*pass, module);
     telemetry::Span span(record.passName, "lir-pass");
@@ -77,7 +76,6 @@ bool PassManager::run(Module &module, DiagnosticEngine &diags) {
     metrics::recordPassDuration("lir", record.passName,
                                 std::llround(record.millis * 1000.0),
                                 record.changed);
-    countModuleSize(module, record.instsAfter, record.blocksAfter);
     for (auto it = instrumentations_.rbegin(); it != instrumentations_.rend();
          ++it)
       (*it)->afterPass(*pass, module, record);

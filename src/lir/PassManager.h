@@ -6,11 +6,13 @@
 //
 // Observability: the pipeline is instrumented. Every pass run is wrapped
 // in a telemetry span (category "lir-pass", so a Chrome trace shows the
-// pass stack nested under its flow stage), records IR-delta statistics
-// (instruction/block counts before vs. after), feeds the --time-passes
-// aggregation when enabled, and fires registered PassInstrumentation
-// hooks: before hooks in registration order, after hooks in reverse
-// (LLVM-style), so paired instrumentations nest like scopes.
+// pass stack nested under its flow stage) whose finish() is the record's
+// time and feeds the --time-passes histogram, and fires registered
+// PassInstrumentation hooks: before hooks in registration order, after
+// hooks in reverse (LLVM-style), so paired instrumentations nest like
+// scopes. The manager does not walk the module between passes; an
+// instrumentation that wants IR sizes counts them itself
+// (countModuleSize).
 #pragma once
 
 #include "support/Diagnostics.h"
@@ -73,12 +75,6 @@ struct PassRunRecord {
   std::string passName;
   bool changed = false;
   double millis = 0;
-  // IR-delta: module size around the pass, so per-pass shrink/growth is
-  // visible without diffing printed IR.
-  int64_t instsBefore = 0;
-  int64_t instsAfter = 0;
-  int64_t blocksBefore = 0;
-  int64_t blocksAfter = 0;
   PassStats stats;
 };
 
@@ -92,7 +88,7 @@ class PassInstrumentation {
 public:
   virtual ~PassInstrumentation() = default;
   virtual void beforePass(const ModulePass &, const Module &) {}
-  /// `record` is fully populated (timing, IR delta, stats) when this runs.
+  /// `record` is fully populated (timing, stats) when this runs.
   virtual void afterPass(const ModulePass &, const Module &,
                          const PassRunRecord &) {}
 };

@@ -102,11 +102,19 @@ public:
           work.push_back(df);
     }
 
+    // Placed and later simplified in RPO, never in pointer order, so the
+    // output cannot depend on heap addresses. Every phi block is
+    // reachable: frontiers are only computed from reachable blocks.
     std::map<BasicBlock *, Instruction *> placedPhis;
+    std::vector<Instruction *> phisInRpo;
     IRBuilder builder(ctx);
-    for (BasicBlock *bb : phiBlocks) {
+    for (BasicBlock *bb : domTree.rpo()) {
+      if (!phiBlocks.count(bb))
+        continue;
       builder.setInsertPoint(bb, bb->begin());
-      placedPhis[bb] = builder.createPhi(ty, alloca.name() + ".phi");
+      Instruction *phi = builder.createPhi(ty, alloca.name() + ".phi");
+      placedPhis[bb] = phi;
+      phisInRpo.push_back(phi);
     }
 
     // Renaming: DFS over the dominator tree, tracking the live value.
@@ -154,7 +162,7 @@ public:
     bool simplified = true;
     while (simplified) {
       simplified = false;
-      for (auto &[bb, phi] : placedPhis) {
+      for (Instruction *&phi : phisInRpo) {
         if (!phi || !phi->parent())
           continue;
         Value *common = nullptr;

@@ -10,18 +10,11 @@
 
 namespace mha::mir {
 
-int64_t countOps(ModuleOp module) {
-  int64_t ops = 0;
-  module.op->walk([&](Operation *) { ++ops; });
-  return ops;
-}
-
 bool MPassManager::run(ModuleOp module, DiagnosticEngine &diags) {
   records_.clear();
   for (auto &pass : passes_) {
     MPassRecord record;
     record.passName = pass->name();
-    record.opsBefore = countOps(module);
     for (MPassInstrumentation *instrumentation : instrumentations_)
       instrumentation->beforePass(*pass, module);
     telemetry::Span span(record.passName, "mir-pass");
@@ -30,7 +23,6 @@ bool MPassManager::run(ModuleOp module, DiagnosticEngine &diags) {
     metrics::recordPassDuration("mir", record.passName,
                                 std::llround(record.millis * 1000.0),
                                 record.changed);
-    record.opsAfter = countOps(module);
     for (auto it = instrumentations_.rbegin(); it != instrumentations_.rend();
          ++it)
       (*it)->afterPass(*pass, module, record);

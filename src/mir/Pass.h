@@ -42,16 +42,13 @@ struct MPassRecord {
   std::string passName;
   bool changed = false;
   double millis = 0;
-  // IR-delta: operation count around the pass.
-  int64_t opsBefore = 0;
-  int64_t opsAfter = 0;
   MPassStats stats;
 };
 
 /// Observation hooks around each MLIR pass run, mirroring
 /// lir::PassInstrumentation: before hooks fire in registration order,
-/// after hooks in reverse, and `record` is fully populated (timing, op
-/// delta, stats) by the time afterPass runs. Implementations must not
+/// after hooks in reverse, and `record` is fully populated (timing,
+/// stats) by the time afterPass runs. Implementations must not
 /// mutate the module; ones shared across concurrently-running pipelines
 /// must be thread-safe.
 class MPassInstrumentation {
@@ -60,9 +57,6 @@ public:
   virtual void beforePass(const MPass &, ModuleOp) {}
   virtual void afterPass(const MPass &, ModuleOp, const MPassRecord &) {}
 };
-
-/// Counts every operation in the module (the module op itself included).
-int64_t countOps(ModuleOp module);
 
 class MPassManager {
 public:

@@ -25,9 +25,11 @@ std::string field(const json::Value &doc, const char *name) {
   return value && value->isString() ? value->asString() : std::string();
 }
 
-int64_t intField(const json::Value &doc, const char *name) {
+/// An absent field reads 0; a present one must be an integer in int64
+/// range (empty otherwise).
+std::optional<int64_t> intField(const json::Value &doc, const char *name) {
   const json::Value *value = doc.get(name);
-  return value && value->isNumber() ? value->asInt() : 0;
+  return value ? value->asInt() : 0;
 }
 
 bool boolField(const json::Value &doc, const char *name) {
@@ -141,13 +143,19 @@ Client::CompileOutcome Client::runCompile(const Request &req) {
       outcome.code = field(*doc, "code");
       outcome.error = field(*doc, "message");
     } else if (event == "done") {
+      std::optional<int64_t> queueUs = intField(*doc, "queue_us");
+      std::optional<int64_t> compileUs = intField(*doc, "compile_us");
+      if (!queueUs || !compileUs) {
+        outcome.error = "malformed response line: " + line;
+        return outcome;
+      }
       outcome.transportOk = true;
       outcome.ok = field(*doc, "status") == "ok";
       if (std::string code = field(*doc, "code"); !code.empty())
         outcome.code = code;
       outcome.cached = boolField(*doc, "cached");
-      outcome.queueUs = intField(*doc, "queue_us");
-      outcome.compileUs = intField(*doc, "compile_us");
+      outcome.queueUs = *queueUs;
+      outcome.compileUs = *compileUs;
       return outcome;
     }
   }

@@ -4,8 +4,6 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
-#include <cmath>
-
 namespace mha::serve {
 
 namespace {
@@ -18,15 +16,15 @@ bool intField(const json::Value &value, const char *name, int64_t min,
     error = strfmt("field '%s' must be a number", name);
     return false;
   }
-  double d = value.asDouble();
-  if (d != std::floor(d) || d < double(min) || d > double(max)) {
+  std::optional<int64_t> n = value.asInt();
+  if (!n || *n < min || *n > max) {
     error = strfmt("field '%s' out of range (expected integer in [%lld, "
                    "%lld])",
                    name, static_cast<long long>(min),
                    static_cast<long long>(max));
     return false;
   }
-  out = static_cast<int64_t>(d);
+  out = *n;
   return true;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 
 #include <fcntl.h>
@@ -81,6 +82,15 @@ metrics::Counter &connectionsCounter() {
   return c;
 }
 
+/// The mha_serve_* counters now. They count whether or not metrics are
+/// enabled, so Server::stats() is a view of them.
+Server::Stats counterStats() {
+  return {connectionsCounter().value(),     admittedCounter().value(),
+          rejectedCounter("busy").value(),  rejectedCounter("shutdown").value(),
+          completedCounter(true).value(),   completedCounter(false).value(),
+          cancelledCounter().value()};
+}
+
 int64_t elapsedUs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - since)
@@ -114,7 +124,8 @@ struct Server::Pending {
   std::chrono::steady_clock::time_point admitted;
 };
 
-Server::Server(ServerOptions options) : options_(std::move(options)) {
+Server::Server(ServerOptions options)
+    : options_(std::move(options)), base_(counterStats()) {
   if (options_.maxInflight < 1)
     options_.maxInflight = 1;
   if (options_.maxQueue < 0)
@@ -214,8 +225,13 @@ void Server::stop() {
 bool Server::running() const { return running_.load(); }
 
 Server::Stats Server::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats s = counterStats();
+  for (int64_t Stats::*field :
+       {&Stats::connections, &Stats::admitted, &Stats::rejectedBusy,
+        &Stats::rejectedShutdown, &Stats::completedOk, &Stats::completedError,
+        &Stats::cancelled})
+    s.*field -= base_.*field;
+  return s;
 }
 
 int64_t Server::outstanding() const {
@@ -265,7 +281,6 @@ void Server::acceptLoop() {
     conn->fd = fd;
     ++connectionsCounter();
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.connections++;
     conns_.push_back(conn);
     readers_.emplace_back([this, conn] { readerLoop(conn); });
   }
@@ -358,7 +373,6 @@ void Server::handleLine(const std::shared_ptr<Conn> &conn,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shuttingDown_.load()) {
-      stats_.rejectedShutdown++;
       ++rejectedCounter("shutdown");
       emitTo(conn, renderError(req.id, errc::ShuttingDown,
                                "server is shutting down"));
@@ -367,7 +381,6 @@ void Server::handleLine(const std::shared_ptr<Conn> &conn,
     }
     if (outstanding_ >=
         static_cast<int64_t>(options_.maxInflight) + options_.maxQueue) {
-      stats_.rejectedBusy++;
       ++rejectedCounter("busy");
       emitTo(conn,
              renderError(req.id, errc::Busy,
@@ -376,7 +389,6 @@ void Server::handleLine(const std::shared_ptr<Conn> &conn,
       emitTo(conn, renderDone(req.id, false, errc::Busy, false, 0, 0));
       return;
     }
-    stats_.admitted++;
     ++admittedCounter();
     outstanding_++;
     pending = std::make_shared<Pending>();
@@ -411,12 +423,12 @@ void Server::runPending(std::shared_ptr<Pending> pending) {
            renderError(req.id, errc::Cancelled,
                        "request cancelled before compilation started"));
   } else {
-    auto started = std::chrono::steady_clock::now();
+    telemetry::Span compile("serve:compile", "serve");
     Emit emit = [this, pending](const std::string &line) {
       emitTo(pending->conn, line);
     };
     outcome = runSession(req, options_.session, &pending->cancel, emit);
-    compileUs = elapsedUs(started);
+    compileUs = std::llround(compile.finish() * 1000.0);
   }
   emitTo(pending->conn, renderDone(req.id, outcome.ok, outcome.code,
                                    outcome.cached, queueUs, compileUs));
@@ -435,12 +447,6 @@ void Server::runPending(std::shared_ptr<Pending> pending) {
   std::lock_guard<std::mutex> lock(mutex_);
   pending->done = true;
   outstanding_--;
-  if (outcome.ok)
-    stats_.completedOk++;
-  else
-    stats_.completedError++;
-  if (cancelled)
-    stats_.cancelled++;
   auto &active = pending->conn->active;
   for (size_t i = 0; i < active.size(); ++i) {
     if (active[i] == pending) {

@@ -80,8 +80,10 @@ public:
   bool running() const;
   const std::string &socketPath() const { return options_.socketPath; }
 
-  /// Structural counters for tests and the load generator (mirrors the
-  /// mha_serve_* metrics, readable without enabling metrics).
+  /// Request counts for tests, the load generator and the shutdown line:
+  /// the mha_serve_* counters (which count without the metrics gate)
+  /// since this Server was constructed. The counters are process-wide,
+  /// so two Servers running in one process see each other's traffic.
   struct Stats {
     int64_t connections = 0;
     int64_t admitted = 0;
@@ -125,7 +127,7 @@ private:
   std::vector<std::shared_ptr<Conn>> conns_;
   std::vector<std::thread> readers_;
   int64_t outstanding_ = 0;
-  Stats stats_;
+  Stats base_; // counter values at construction
 };
 
 } // namespace mha::serve

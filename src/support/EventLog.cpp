@@ -87,23 +87,27 @@ bool EventLog::open(const std::string &path, Level minLevel,
   i.ownsSpanTracking = !telemetry::spanTrackingEnabled();
   if (i.ownsSpanTracking)
     telemetry::setSpanTracking(true);
-  telemetry::setSpanObserver([](const telemetry::SpanRecord &record) {
-    EventLog::global().log(
-        Level::Debug, "span", record.name, record.id,
-        {{"category", std::string(record.category)},
-         {"ms", strfmt("%.3f", record.ms)},
-         {"parent", strfmt("%llu",
-                           static_cast<unsigned long long>(record.parent))}});
-  });
+  // Span finishes are logged at debug level only; above it the observer
+  // would render three fields per span for log() to drop.
+  if (minLevel == Level::Debug)
+    telemetry::setSpanObserver([](const telemetry::SpanRecord &record) {
+      EventLog::global().log(
+          Level::Debug, "span", record.name, record.id,
+          {{"category", std::string(record.category)},
+           {"ms", strfmt("%.3f", record.ms)},
+           {"parent",
+            strfmt("%llu", static_cast<unsigned long long>(record.parent))}});
+    });
   enabled_.store(true, std::memory_order_relaxed);
   return true;
 }
 
 void EventLog::close() {
   Impl &i = impl();
-  // Disable before taking the lock so concurrent log() calls drain fast;
-  // the observer is cleared under telemetry's own lock, which waits out
-  // any in-flight observer call.
+  // Disable before taking the lock so concurrent log() calls drain fast.
+  // Clearing the observer does not wait for a call already in flight;
+  // such a call only reaches log(), which drops the line once the log is
+  // disabled or its file closed.
   enabled_.store(false, std::memory_order_relaxed);
   telemetry::setSpanObserver(nullptr);
   std::lock_guard<std::mutex> lock(i.mutex);

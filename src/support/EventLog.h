@@ -12,10 +12,12 @@
 //
 // `span` is the innermost live telemetry::Span's process-unique id on the
 // logging thread (0 when none): opening the log turns on span-id tracking
-// in support/Telemetry, and every Span finish is itself logged at debug
-// level (subsys "span", with category/ms/parent fields), so
+// in support/Telemetry at every level. At debug level the log also
+// registers the span observer, so every Span finish is itself logged
+// (subsys "span", with category/ms/parent fields) and
 // `--event-log-level=debug` yields the full span history inline with the
-// explicit events that happened inside each span.
+// explicit events that happened inside each span. Above debug no observer
+// is registered and a span finish renders nothing.
 //
 // The log is process-global (EventLog::global()), thread-safe (one mutex
 // around the append), and near-zero when closed: log() is one relaxed
@@ -50,9 +52,9 @@ public:
   static EventLog &global();
 
   /// Opens (truncates) `path` and starts accepting events at or above
-  /// `minLevel`. Enables telemetry span-id tracking and registers the
-  /// span observer that logs finished spans at debug level. Fails when
-  /// already open or the file cannot be created.
+  /// `minLevel`. Enables telemetry span-id tracking and, when `minLevel`
+  /// is debug, registers the span observer that logs finished spans.
+  /// Fails when already open or the file cannot be created.
   bool open(const std::string &path, Level minLevel = Level::Info,
             std::string *error = nullptr);
 

@@ -345,6 +345,16 @@ private:
 
 } // namespace
 
+std::optional<int64_t> Value::asInt() const {
+  // 2^63 is exact as a double; every integral double in [-2^63, 2^63)
+  // converts to int64_t without loss. NaN fails both comparisons.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!isNumber() || !(number_ >= -kLimit && number_ < kLimit) ||
+      std::trunc(number_) != number_)
+    return std::nullopt;
+  return static_cast<int64_t>(number_);
+}
+
 const Value *Value::get(std::string_view key) const {
   if (!isObject())
     return nullptr;

@@ -10,7 +10,7 @@
 //    valid JSON;
 //  * parse() and validate() share one recursive-descent reader: parse()
 //    builds a Value tree (object member order preserved, numbers kept as
-//    doubles — exact for the int64 magnitudes the reports contain), and
+//    doubles; asInt() hands back only integral, int64-range ones), and
 //    validate() is its check-only mode, which builds nothing;
 //  * writeFile() is the one way a JSON artifact reaches disk (Chrome
 //    trace, metrics snapshot, batch trace, DSE report and cache, fuzz
@@ -49,9 +49,9 @@ public:
   double asDouble(double fallback = 0) const {
     return isNumber() ? number_ : fallback;
   }
-  int64_t asInt(int64_t fallback = 0) const {
-    return isNumber() ? static_cast<int64_t>(number_) : fallback;
-  }
+  /// The number as an integer: empty unless this is a number that is
+  /// integral and within int64_t (so 2.5, 1e300 and a string all are).
+  std::optional<int64_t> asInt() const;
   const std::string &asString() const { return string_; }
 
   const std::vector<Value> &elements() const { return elements_; }

@@ -26,12 +26,15 @@
 // registers `mha_stat{group=...,name=...}`, and `--stats` renders the
 // non-zero ones from a snapshot (statisticsReport()).
 //
-// Timing is gated on a single process-wide relaxed atomic
+// Histograms are gated on a single process-wide relaxed atomic
 // (metrics::enabled()): with metrics off, Histogram::record is one
-// relaxed load and a branch, and Timer skips its clock reads entirely —
-// the ≤2% overhead budget (bench/metrics_overhead) is measured with the
-// gate *on*. Both pass managers feed recordPassDuration(); `--time-passes`
-// turns the gate on and renders passTimesTable() from that histogram.
+// relaxed load and a branch — the ≤2% overhead budget
+// (bench/metrics_overhead) is measured with the gate *on*. The registry
+// owns no clock: a latency histogram takes its sample from the
+// telemetry::Span around the same work (Histogram::recordMs), so a trace
+// and a histogram never time one interval twice. Both pass managers feed
+// recordPassDuration() from their pass spans; `--time-passes` turns the
+// gate on and renders passTimesTable() from that histogram.
 //
 // Two exporters render a snapshot: json() (schema "mha.metrics.v1",
 // validated via support/Json before any write) and prometheus() (text
@@ -41,7 +44,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -56,7 +59,7 @@ namespace mha::metrics {
 /// Label set rendered Prometheus-style: {pipeline="lir",pass="dce"}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Process-wide timing gate (relaxed atomic) for histograms and timers.
+/// Process-wide gate (relaxed atomic) for histograms.
 /// Off by default: cold binaries pay one load+branch per record site and
 /// nothing else. Counters and gauges ignore it.
 bool enabled();
@@ -153,6 +156,14 @@ public:
     recordAlways(value);
   }
 
+  /// Records a Span's finish() milliseconds as llround(ms * 1000)
+  /// microseconds, the rounding every span-fed histogram shares with
+  /// recordPassDuration. Gated like record().
+  void recordMs(double ms) {
+    if (enabled())
+      recordAlways(std::llround(ms * 1000.0));
+  }
+
   /// Records regardless of the process gate (tests and call sites that
   /// manage their own gating).
   void recordAlways(int64_t value);
@@ -188,40 +199,6 @@ public:
 
 private:
   detail::HistogramShard shards_[kShards];
-};
-
-/// RAII timer feeding a histogram in microseconds. Reads the clock only
-/// when metrics are enabled at construction; stop() records once and
-/// returns the measured microseconds (0 when unarmed).
-class Timer {
-public:
-  using Clock = std::chrono::steady_clock;
-
-  explicit Timer(Histogram &hist) : hist_(hist), armed_(enabled()) {
-    if (armed_)
-      start_ = Clock::now();
-  }
-  ~Timer() { stop(); }
-
-  Timer(const Timer &) = delete;
-  Timer &operator=(const Timer &) = delete;
-
-  int64_t stop() {
-    if (!armed_)
-      return us_;
-    armed_ = false;
-    us_ = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                start_)
-              .count();
-    hist_.recordAlways(us_);
-    return us_;
-  }
-
-private:
-  Histogram &hist_;
-  bool armed_;
-  int64_t us_ = 0;
-  Clock::time_point start_;
 };
 
 /// One metric's identity and merged value inside a snapshot.

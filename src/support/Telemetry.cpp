@@ -18,15 +18,7 @@ std::atomic<bool> gSpanTracking{false};
 std::atomic<uint64_t> gNextSpanId{1};
 thread_local uint64_t tlsCurrentSpan = 0;
 
-struct SpanObserverSlot {
-  std::mutex mutex;
-  std::function<void(const SpanRecord &)> observer;
-
-  static SpanObserverSlot &get() {
-    static SpanObserverSlot slot;
-    return slot;
-  }
-};
+std::atomic<SpanObserver> gSpanObserver{nullptr};
 
 } // namespace
 
@@ -40,10 +32,8 @@ void setSpanTracking(bool on) {
   gSpanTracking.store(on, std::memory_order_relaxed);
 }
 
-void setSpanObserver(std::function<void(const SpanRecord &)> observer) {
-  SpanObserverSlot &slot = SpanObserverSlot::get();
-  std::lock_guard<std::mutex> lock(slot.mutex);
-  slot.observer = std::move(observer);
+void setSpanObserver(SpanObserver observer) {
+  gSpanObserver.store(observer, std::memory_order_release);
 }
 
 namespace detail {
@@ -61,14 +51,7 @@ void endSpan(uint64_t id, uint64_t parent, std::string_view name,
   // live inner span briefly rewinds past it, which the inner span's own
   // end repairs. Correlation is best-effort, not a parent ledger.
   tlsCurrentSpan = parent;
-  // Copy under the lock so close() cannot destroy the callable mid-call.
-  std::function<void(const SpanRecord &)> observer;
-  {
-    SpanObserverSlot &slot = SpanObserverSlot::get();
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    observer = slot.observer;
-  }
-  if (observer)
+  if (SpanObserver observer = gSpanObserver.load(std::memory_order_acquire))
     observer(SpanRecord{id, parent, name, category, ms});
 }
 

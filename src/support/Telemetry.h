@@ -3,29 +3,32 @@
 // Two coordinated facilities behind one global `Tracer`:
 //
 //  * Hierarchical spans. A `Span` is an RAII timer for a named region on
-//    the calling thread. It *always* measures (two steady_clock reads, the
-//    same cost as the hand-rolled timing it replaces — finish() returns
-//    the elapsed milliseconds so callers can feed StageTimings etc.), but
-//    it only *records* an event when tracing is enabled: one relaxed
-//    atomic load decides, so a disabled tracer is near-zero overhead and
-//    produces zero allocations or locking on the hot path. Recorded spans
-//    become Chrome trace-event "complete" ('X') events; nesting is
-//    expressed by time containment within a lane, which RAII scoping
-//    guarantees, so chrome://tracing and Perfetto render the span stack
-//    with no parent bookkeeping here.
+//    the calling thread, and the only timer for an interval that one
+//    thread brackets. It *always* measures (two steady_clock reads), and
+//    every other record of the interval is a view of that measurement:
+//    finish() returns the elapsed milliseconds, which feed StageTimings,
+//    the batch trace's wall times and the latency histograms
+//    (Histogram::recordMs). It only *records* an event when tracing is
+//    enabled: one relaxed atomic load decides, so a disabled tracer is
+//    near-zero overhead and produces zero allocations or locking on the
+//    hot path. Recorded spans become Chrome trace-event "complete" ('X')
+//    events; nesting is expressed by time containment within a lane,
+//    which RAII scoping guarantees, so chrome://tracing and Perfetto
+//    render the span stack with no parent bookkeeping here.
 //
 //  * Lanes. Every thread records into a lane (the Chrome "tid"). Pool
 //    workers claim lane = worker index with a display name ("worker 3");
 //    unclaimed threads get stable auto-assigned lanes starting at 1000.
 //
-// Counting (`--stats`) and pass timing (`--time-passes`) live in the
-// metrics registry (support/Metrics.h), not here.
+// Counting (`--stats`) and the latency histograms (`--time-passes`) live
+// in the metrics registry (support/Metrics.h); their timing samples come
+// from spans. Only intervals that cross threads (queue waits,
+// admission-to-done) keep clocks of their own.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -62,10 +65,15 @@ struct SpanRecord {
   double ms = 0;
 };
 
-/// Registers the (single) observer called on every tracked span finish,
-/// from the finishing thread. Pass nullptr to clear. The observer must be
-/// thread-safe; the event log uses this to journal span history.
-void setSpanObserver(std::function<void(const SpanRecord &)> observer);
+/// Called on every tracked span finish, from the finishing thread. A
+/// plain function: it owns no state that clearing could destroy, so a
+/// call that raced a clear still runs safely to its end.
+using SpanObserver = void (*)(const SpanRecord &);
+
+/// Registers the (single) observer; nullptr clears it. The observer must
+/// be thread-safe; the event log uses this to journal span history at
+/// debug level.
+void setSpanObserver(SpanObserver observer);
 
 namespace detail {
 /// Claims a fresh span id, records the previous innermost id in
@@ -158,12 +166,6 @@ public:
 
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
-
-  /// Milliseconds since construction (span still running).
-  double elapsedMs() const {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start_)
-        .count();
-  }
 
   /// Ends the span, records it (when tracing is enabled) and returns the
   /// measured duration in milliseconds. Idempotent: later calls (and the

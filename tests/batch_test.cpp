@@ -94,8 +94,8 @@ TEST(BatchRunner, DeterministicSubmissionOrder) {
     // finished first, so any thread count yields the same ordering.
     EXPECT_EQ(parallel.results[i].kernelName, jobs[i].spec->name);
     EXPECT_EQ(parallel.results[i].synth.str(), serial.results[i].synth.str());
-    EXPECT_EQ(parallel.trace.jobs[i].index, i);
   }
+  EXPECT_EQ(parallel.trace.jobs.size(), jobs.size());
 }
 
 TEST(BatchRunner, FailingJobDoesNotPoisonNeighbors) {
@@ -114,11 +114,15 @@ TEST(BatchRunner, FailingJobDoesNotPoisonNeighbors) {
                 "kernel construction exploded"),
             std::string::npos);
   EXPECT_EQ(outcome.trace.failures, 1u);
-  EXPECT_FALSE(outcome.trace.jobs[1].error.empty());
-  // A failed job still reports how long it ran (the trace's total_ms).
-  const StageTimings &t = outcome.trace.jobs[1].timings;
+  EXPECT_NE(outcome.traceJson().find("\"error\": \"exception: kernel "
+                                     "construction exploded\""),
+            std::string::npos);
+  // A failed job still reports how long it ran (the trace's total_ms):
+  // its job span's measurement, which is also its wall time.
+  const StageTimings &t = outcome.results[1].timings;
   EXPECT_GT(t.totalMs, 0);
   EXPECT_GE(t.totalMs, t.mlirOptMs + t.bridgeMs + t.synthMs);
+  EXPECT_EQ(t.totalMs, outcome.trace.jobs[1].wallMs);
 
   // The neighbors are untouched: bit-identical to serial runs.
   FlowResult serialFir = runAdaptorFlow(*findKernel("fir"), tunedConfig());
@@ -155,19 +159,21 @@ TEST(BatchRunner, TraceRecordsStagesAndWorkers) {
   ASSERT_EQ(outcome.trace.jobsPerWorker.size(), 2u);
   EXPECT_EQ(outcome.trace.jobsPerWorker[0] + outcome.trace.jobsPerWorker[1],
             4u);
-  for (const JobTrace &job : outcome.trace.jobs) {
-    EXPECT_TRUE(job.ok);
-    EXPECT_TRUE(job.accepted);
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const JobTrace &job = outcome.trace.jobs[i];
+    const FlowResult &result = outcome.results[i];
+    EXPECT_TRUE(result.ok);
+    EXPECT_TRUE(result.synth.accepted);
     EXPECT_EQ(job.label, "tuned");
     EXPECT_GT(job.wallMs, 0);
     EXPECT_GE(job.worker, 0);
     EXPECT_LT(job.worker, 2);
-    EXPECT_FALSE(job.spans.empty());
-    EXPECT_GT(job.timings.totalMs, 0);
-    EXPECT_FALSE(job.adaptorStats.empty());
+    EXPECT_FALSE(result.spans.empty());
+    EXPECT_GT(result.timings.totalMs, 0);
+    EXPECT_FALSE(result.adaptorStats.empty());
   }
 
-  std::string json = outcome.trace.json();
+  std::string json = outcome.traceJson();
   EXPECT_NE(json.find("\"schema\": \"mha.batch-trace.v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"kernel\": \"gemm\""), std::string::npos);
@@ -187,10 +193,61 @@ TEST(BatchRunner, TraceJsonIsWellFormed) {
   BatchOutcome outcome = runBatch(jobs, options);
 
   std::string error;
-  EXPECT_TRUE(json::validate(outcome.trace.json(), &error)) << error;
+  EXPECT_TRUE(json::validate(outcome.traceJson(), &error)) << error;
   // The schema is unchanged by the telemetry work: still v1.
-  EXPECT_NE(outcome.trace.json().find("mha.batch-trace.v1"),
+  EXPECT_NE(outcome.traceJson().find("mha.batch-trace.v1"),
             std::string::npos);
+}
+
+TEST(BatchRunner, TraceJsonKeySequenceIsPinned) {
+  // The job objects read most fields from BatchOutcome::results; pin every
+  // key and its order so that reading cannot drop or reorder one.
+  KernelSpec bomb = bombKernel();
+  std::vector<BatchJob> jobs;
+  jobs.push_back(makeJob(findKernel("fir"), FlowKind::Adaptor, "tuned"));
+  jobs.push_back(makeJob(&bomb, FlowKind::HlsCpp));
+  BatchOutcome outcome = runBatch(jobs);
+
+  std::string error;
+  std::optional<json::Value> doc = json::parse(outcome.traceJson(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  auto keys = [](const json::Value &object) {
+    std::vector<std::string> out;
+    for (const auto &member : object.members())
+      out.push_back(member.first);
+    return out;
+  };
+  using Keys = std::vector<std::string>;
+  EXPECT_EQ(keys(*doc),
+            (Keys{"schema", "threads", "job_count", "failures", "wall_ms",
+                  "serial_ms", "speedup", "e2e_ms_p50", "e2e_ms_p90",
+                  "e2e_ms_p99", "jobs_per_worker", "jobs"}));
+  const std::vector<json::Value> &list = doc->get("jobs")->elements();
+  ASSERT_EQ(list.size(), 2u);
+  Keys jobKeys = {"index",   "kernel",   "label",  "flow",
+                  "ok",      "accepted", "worker", "queue_ms",
+                  "wall_ms", "queue_depth_at_start", "timings",
+                  "spans",   "adaptor_stats"};
+  EXPECT_EQ(keys(list[0]), jobKeys);
+  jobKeys.push_back("error");
+  EXPECT_EQ(keys(list[1]), jobKeys);
+  EXPECT_EQ(keys(*list[0].get("timings")),
+            (Keys{"mlir_opt_ms", "bridge_ms", "synth_ms", "total_ms"}));
+  ASSERT_FALSE(list[0].get("spans")->elements().empty());
+  EXPECT_EQ(keys(list[0].get("spans")->elements()[0]),
+            (Keys{"stage", "name", "ms"}));
+
+  EXPECT_EQ(list[0].get("kernel")->asString(), "fir");
+  EXPECT_EQ(list[0].get("label")->asString(), "tuned");
+  EXPECT_EQ(list[0].get("flow")->asString(), "adaptor");
+  EXPECT_TRUE(list[0].get("ok")->asBool());
+  EXPECT_TRUE(list[0].get("accepted")->asBool());
+  EXPECT_EQ(list[1].get("index")->asInt(), 1);
+  EXPECT_EQ(list[1].get("kernel")->asString(), "bomb");
+  EXPECT_EQ(list[1].get("flow")->asString(), "hls-c++");
+  EXPECT_FALSE(list[1].get("ok")->asBool(true));
+  EXPECT_EQ(list[1].get("error")->asString(),
+            "exception: kernel construction exploded");
 }
 
 TEST(BatchRunner, TraceCarriesEndToEndPercentiles) {
@@ -209,7 +266,7 @@ TEST(BatchRunner, TraceCarriesEndToEndPercentiles) {
   EXPECT_GE(outcome.trace.e2eP50Ms, 0.0);
   EXPECT_LE(outcome.trace.e2eP50Ms, outcome.trace.e2eP90Ms);
   EXPECT_LE(outcome.trace.e2eP90Ms, outcome.trace.e2eP99Ms);
-  std::string json = outcome.trace.json();
+  std::string json = outcome.traceJson();
   EXPECT_NE(json.find("\"e2e_ms_p50\""), std::string::npos);
   EXPECT_NE(json.find("\"e2e_ms_p90\""), std::string::npos);
   EXPECT_NE(json.find("\"e2e_ms_p99\""), std::string::npos);
@@ -251,15 +308,16 @@ TEST(BatchRunner, ChromeTraceHasWorkerLanesAndNestedSpans) {
     EXPECT_LT(span->lane, 2);
   }
   // The lane matches the worker recorded in the structured trace.
-  for (const JobTrace &job : outcome.trace.jobs) {
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const FlowResult &result = outcome.results[i];
     std::string name =
-        "job:" + job.kernel + ":" + flowKindName(job.kind);
+        "job:" + result.kernelName + ":" + flowKindName(result.kind);
     auto it = std::find_if(jobSpans.begin(), jobSpans.end(),
                            [&](const tel::TraceEvent *e) {
                              return e->name == name;
                            });
     ASSERT_NE(it, jobSpans.end()) << name;
-    EXPECT_EQ((*it)->lane, job.worker);
+    EXPECT_EQ((*it)->lane, outcome.trace.jobs[i].worker);
   }
 
   // Flow stages nest inside their job's span (same lane, contained

@@ -6,6 +6,8 @@
 #include "dse/QoREstimation.h"
 #include "lir/transforms/LoopUnroll.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -420,6 +422,59 @@ TEST(Dse, ReportJsonValidatesAndCarriesTheRun) {
         "latency_mean_abs_pct", "latency_max_abs_pct", "dsp_mean_abs_pct",
         "bram_mean_abs_pct", "lut_mean_abs_pct"})
     EXPECT_NE(estimator->get(field), nullptr) << field;
+}
+
+TEST(Evaluator, LatencyHistogramsSampleTheirSpansOnce) {
+  // With metrics on, every flow run through evaluate() (not the probes)
+  // and every estimate leaves exactly one sample, taken from its span.
+  metrics::Registry &reg = metrics::Registry::global();
+  reg.resetForTest();
+  metrics::setEnabled(true);
+  DesignSpace space(kernel("fir"), smallGrid());
+  Evaluator evaluator(kernel("fir"));
+  ASSERT_TRUE(runDse(space, evaluator, "refine", {}).has_value());
+  evaluator.evaluateAll(space.points());
+  metrics::setEnabled(false);
+
+  ASSERT_EQ(evaluator.probeRuns(), QoREstimation::kProbeRuns);
+  EXPECT_GT(evaluator.synthRuns(), evaluator.probeRuns());
+  EXPECT_EQ(reg.histogram("mha_dse_synth_us").merged().count,
+            evaluator.synthRuns() - evaluator.probeRuns());
+  EXPECT_GT(evaluator.estimates(), 0);
+  EXPECT_EQ(reg.histogram("mha_dse_estimate_us").merged().count,
+            evaluator.estimates());
+  EXPECT_EQ(reg.histogram("mha_dse_cache_wait_us").merged().count,
+            evaluator.cacheWaits());
+  reg.resetForTest();
+}
+
+TEST(Evaluator, LoadCacheRefusesNonIntegerQoRFields) {
+  // The fir cache whose II=1 entry claims 1e300 cycles: the whole
+  // document is refused, naming the entry and the field, and nothing is
+  // merged, so no out-of-range latency can reach a Pareto frontier.
+  const char *entry =
+      R"({"key": "ii=1|unroll=1|part=1|df=0|dir=1", "ok": true, )"
+      R"("cosim_ok": true, "latency": %s, "dsp": 14, "bram": 0, )"
+      R"("lut": 1012, "ff": 1076, "error": ""})";
+  auto document = [&](const char *latency) {
+    return R"({"schema": "mha.dse.cache.v1", "kernel": "fir", "entries": [)"
+           R"({"key": "ii=0|unroll=1|part=1|df=0|dir=0", "ok": true, )"
+           R"("latency": 12547}, )" +
+           strfmt(entry, latency) + "]}";
+  };
+  for (const char *bad : {"1e300", "7747.5", "-1e19", "\"7747\""}) {
+    Evaluator evaluator(kernel("fir"));
+    std::string error;
+    EXPECT_FALSE(evaluator.loadCacheJson(document(bad), &error)) << bad;
+    EXPECT_NE(error.find("'ii=1|unroll=1|part=1|df=0|dir=1': 'latency'"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(evaluator.cacheSize(), 0u) << bad;
+  }
+  Evaluator evaluator(kernel("fir"));
+  std::string error;
+  ASSERT_TRUE(evaluator.loadCacheJson(document("7747"), &error)) << error;
+  EXPECT_EQ(evaluator.cacheSize(), 2u);
 }
 
 // ---------------------------------------------------------------------------

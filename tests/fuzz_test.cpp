@@ -206,6 +206,17 @@ TEST(FuzzCampaign, ReplayRejectsMalformedDocuments) {
                    options, error)
                    .has_value());
   EXPECT_NE(error.find("seed"), std::string::npos);
+  // Generator options must be ints: an out-of-range or fractional field
+  // is refused by name instead of being cast into some other program.
+  for (const char *bad : {"1e10", "2.5", "\"3\""}) {
+    std::string repro =
+        std::string(R"({"schema":"mha.fuzz.repro.v1","mode":"kernel",)"
+                    R"("seed":"7","gen":{"maxLoopDepth":2,"maxStmts":)") +
+        bad + "}}";
+    error.clear();
+    EXPECT_FALSE(replayRepro(repro, options, error).has_value()) << bad;
+    EXPECT_NE(error.find("'maxStmts'"), std::string::npos) << error;
+  }
 }
 
 // --- Calls mode ---------------------------------------------------------

@@ -203,6 +203,7 @@ TEST(MetricsCounter, GatedOffRecordsNothing) {
   EXPECT_EQ(c.value(), 100);
   metrics::Histogram h;
   h.record(5);
+  h.recordMs(5.0); // a span's sample is gated the same way
   EXPECT_EQ(h.merged().count, 0);
 }
 
@@ -340,25 +341,6 @@ TEST(MetricsRegistry, RecordPassDurationLandsInLabeledSeries) {
       << table;
 }
 
-// --- timer -----------------------------------------------------------------
-
-TEST(MetricsTimer, RecordsOnceAndOnlyWhenEnabled) {
-  MetricsScope scope;
-  metrics::Histogram h;
-  {
-    metrics::Timer timer(h);
-    EXPECT_GE(timer.stop(), 0);
-    timer.stop(); // second stop must not double-record
-  }
-  EXPECT_EQ(h.merged().count, 1);
-
-  metrics::setEnabled(false);
-  {
-    metrics::Timer timer(h); // unarmed: no clock reads, no record
-  }
-  EXPECT_EQ(h.merged().count, 1);
-}
-
 // --- exporter --------------------------------------------------------------
 
 TEST(MetricsExporter, StartStopLifecycle) {
@@ -474,6 +456,28 @@ TEST(MetricsStageCache, HitMissBytesTrackLookups) {
             0);
 }
 
+TEST(MetricsStageCache, KeyHistogramTakesOneSamplePerKeyedRow) {
+  // The key time is the stage-key span's finish(), one sample per row
+  // that computes a key: none with the cache off, three (mlir, bridge,
+  // synth) per cached flow, whether the rows miss or hit.
+  MetricsScope scope;
+  flow::StageCache::global().clear();
+  metrics::Histogram &keyUs =
+      metrics::Registry::global().histogram("mha_stage_cache_key_us");
+  const flow::KernelSpec &fir = *flow::findKernel("fir");
+  flow::FlowOptions options;
+  ASSERT_TRUE(flow::runAdaptorFlow(fir, {}, options).ok);
+  EXPECT_EQ(keyUs.merged().count, 0);
+  options.useStageCache = true;
+  ASSERT_TRUE(flow::runAdaptorFlow(fir, {}, options).ok);
+  EXPECT_EQ(keyUs.merged().count, 3);
+  flow::FlowResult warm = flow::runAdaptorFlow(fir, {}, options);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_TRUE(warm.synthFromCache);
+  EXPECT_EQ(keyUs.merged().count, 6);
+  flow::StageCache::global().clear();
+}
+
 // --- event log -------------------------------------------------------------
 
 TEST(EventLog, LinesAreValidJsonWithLevelsAndFields) {
@@ -537,18 +541,40 @@ TEST(EventLog, SpansAreLoggedWithCorrelatedIds) {
     ASSERT_TRUE(doc) << line;
     const std::string &msg = doc->get("msg")->asString();
     if (msg == "outer-span")
-      outerId = static_cast<uint64_t>(doc->get("span")->asInt());
+      outerId = static_cast<uint64_t>(*doc->get("span")->asInt());
     else if (msg == "inner-span")
       innerParent = static_cast<uint64_t>(
           std::stoull(doc->get("parent")->asString()));
     else if (msg == "inside outer")
-      insideSpan = static_cast<uint64_t>(doc->get("span")->asInt());
+      insideSpan = static_cast<uint64_t>(*doc->get("span")->asInt());
   }
   EXPECT_NE(outerId, 0u);
   // The explicit event inside the outer span carries the outer span's id,
   // and the inner span's parent is the outer span.
   EXPECT_EQ(insideSpan, outerId);
   EXPECT_EQ(innerParent, outerId);
+  std::remove(path.c_str());
+}
+
+TEST(EventLog, InfoLevelTracksSpanIdsWithoutLoggingSpans) {
+  // Above debug no span observer runs: a span finish writes nothing, yet
+  // lines logged inside a span still carry its id.
+  std::string path = tempPath("mha_eventlog_info_span_test.jsonl");
+  elog::EventLog &log = elog::EventLog::global();
+  ASSERT_TRUE(log.open(path, elog::Level::Info));
+  uint64_t spanId = 0;
+  {
+    telemetry::Span span("quiet-span", "test");
+    spanId = span.id();
+    elog::info("test", "inside");
+  }
+  EXPECT_EQ(log.linesWritten(), 1);
+  log.close();
+  EXPECT_NE(spanId, 0u);
+  std::optional<json::Value> doc = json::parse(slurp(path));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->get("msg")->asString(), "inside");
+  EXPECT_EQ(doc->get("span")->asInt(), static_cast<int64_t>(spanId));
   std::remove(path.c_str());
 }
 

@@ -13,14 +13,18 @@
 #include "serve/Session.h"
 #include "support/Hash.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <thread>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 using namespace mha;
@@ -79,7 +83,7 @@ int64_t jsonInt(const std::string &line, const char *field) {
   std::optional<json::Value> doc = json::parse(line);
   EXPECT_TRUE(doc.has_value()) << line;
   const json::Value *value = doc->get(field);
-  return value ? value->asInt() : -1;
+  return value ? value->asInt().value_or(-1) : -1;
 }
 
 } // namespace
@@ -584,6 +588,96 @@ TEST(ServeServer, UnknownKernelErrorTeachesAvailableNames) {
   }
   EXPECT_TRUE(sawKernels);
   server.stop();
+}
+
+TEST(ServeServer, StatsAreTheServeCounterDeltas) {
+  flow::StageCache::global().clear();
+  std::string socket = testSocketPath();
+  Server server(testOptions(socket));
+  // Read after construction, which registers every mha_serve_* counter.
+  metrics::Registry &reg = metrics::Registry::global();
+  auto counters = [&] {
+    auto value = [&](const char *name, metrics::Labels labels = {}) {
+      return reg.counter(name, "", std::move(labels)).value();
+    };
+    return std::vector<int64_t>{
+        value("mha_serve_connections_total"),
+        value("mha_serve_admitted_total"),
+        value("mha_serve_rejected_total", {{"reason", "busy"}}),
+        value("mha_serve_rejected_total", {{"reason", "shutdown"}}),
+        value("mha_serve_completed_total", {{"status", "ok"}}),
+        value("mha_serve_completed_total", {{"status", "error"}}),
+        value("mha_serve_cancelled_total")};
+  };
+  std::vector<int64_t> before = counters();
+  ASSERT_TRUE(server.start());
+  Client client;
+  ASSERT_TRUE(client.connect(socket));
+  EXPECT_TRUE(client.runCompile(compileRequest("ok", "fir")).ok);
+  EXPECT_FALSE(client.runCompile(compileRequest("bad", "frobnicate")).ok);
+  server.stop();
+
+  std::vector<int64_t> after = counters();
+  Server::Stats stats = server.stats();
+  std::vector<int64_t> deltas;
+  for (size_t i = 0; i < after.size(); ++i)
+    deltas.push_back(after[i] - before[i]);
+  EXPECT_EQ((std::vector<int64_t>{stats.connections, stats.admitted,
+                                  stats.rejectedBusy, stats.rejectedShutdown,
+                                  stats.completedOk, stats.completedError,
+                                  stats.cancelled}),
+            deltas);
+  EXPECT_EQ(stats.connections, 1);
+  EXPECT_EQ(stats.admitted, 2);
+  EXPECT_EQ(stats.completedOk, 1);
+  EXPECT_EQ(stats.completedError, 1);
+}
+
+TEST(ServeClient, NonIntegralDoneFieldIsAMalformedReply) {
+  // A fake daemon answers each request with one `done` line; only an
+  // integral queue_us reads as a reply.
+  for (const char *queueUs : {"25", "2.5", "1e300"}) {
+    std::string socket = testSocketPath();
+    int listenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listenFd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket.c_str());
+    ASSERT_EQ(::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listenFd, 1), 0);
+    std::string done = strfmt(
+        R"({"schema": "mha.serve.resp.v1", "id": "r", "event": "done", )"
+        R"("status": "ok", "cached": false, "queue_us": %s, )"
+        R"("compile_us": 10})"
+        "\n",
+        queueUs);
+    std::thread daemon([&] {
+      int fd = ::accept(listenFd, nullptr, nullptr);
+      char request[4096];
+      if (fd >= 0 && ::read(fd, request, sizeof(request)) > 0)
+        (void)!::write(fd, done.data(), done.size());
+      if (fd >= 0)
+        ::close(fd);
+    });
+    Client client;
+    ASSERT_TRUE(client.connect(socket));
+    Client::CompileOutcome outcome =
+        client.runCompile(compileRequest("r", "fir"));
+    daemon.join();
+    ::close(listenFd);
+    ::unlink(socket.c_str());
+    bool integral = std::string(queueUs) == "25";
+    EXPECT_EQ(outcome.transportOk, integral) << queueUs;
+    EXPECT_EQ(outcome.ok, integral) << queueUs;
+    if (integral)
+      EXPECT_EQ(outcome.queueUs, 25);
+    else
+      EXPECT_NE(outcome.error.find("malformed response line"),
+                std::string::npos)
+          << outcome.error;
+  }
 }
 
 TEST(ServeServer, MalformedLineGetsTypedParseError) {

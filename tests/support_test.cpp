@@ -209,6 +209,26 @@ TEST(Json, ParseBuildsValueTree) {
   EXPECT_EQ(doc->get("missing"), nullptr);
 }
 
+TEST(Json, AsIntAcceptsOnlyIntegralNumbersInInt64Range) {
+  auto asInt = [](const char *text) {
+    std::optional<json::Value> doc = json::parse(text);
+    EXPECT_TRUE(doc.has_value()) << text;
+    return doc ? doc->asInt() : std::nullopt;
+  };
+  EXPECT_EQ(asInt("3"), 3);
+  EXPECT_EQ(asInt("-0"), 0);
+  EXPECT_EQ(asInt("1e18"), 1000000000000000000);
+  EXPECT_EQ(asInt("-9223372036854775808"), INT64_MIN);
+  // 2^63 and beyond do not fit; neither does a fraction or a non-number.
+  EXPECT_EQ(asInt("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(asInt("1e300"), std::nullopt);
+  EXPECT_EQ(asInt("-1e300"), std::nullopt);
+  EXPECT_EQ(asInt("2.5"), std::nullopt);
+  EXPECT_EQ(asInt("\"7\""), std::nullopt);
+  EXPECT_EQ(asInt("true"), std::nullopt);
+  EXPECT_EQ(asInt("null"), std::nullopt);
+}
+
 TEST(Json, ParsePreservesMemberOrderAndDecodesEscapes) {
   std::optional<json::Value> doc = json::parse(
       "{\"z\": 1, \"a\": 2, \"s\": \"tab\\tquote\\\"u\\u00e9\"}");

@@ -328,7 +328,7 @@ TEST(PassInstrumentation, BeforeInOrderAfterInReverse) {
   EXPECT_EQ(log, expected);
 }
 
-TEST(PassInstrumentation, AfterHookSeesPopulatedRecordWithIRDelta) {
+TEST(PassInstrumentation, AfterHookSeesPopulatedRecord) {
   TracerGuard guard;
   Parsed p(kPromotableIR);
   ASSERT_NE(p.module, nullptr);
@@ -345,13 +345,11 @@ TEST(PassInstrumentation, AfterHookSeesPopulatedRecordWithIRDelta) {
   EXPECT_EQ(record.passName, "mem2reg");
   EXPECT_TRUE(record.changed);
   EXPECT_GE(record.millis, 0.0);
-  // mem2reg deletes the alloca/store/load triple: the module must shrink.
-  EXPECT_GT(record.instsBefore, record.instsAfter);
-  EXPECT_EQ(record.blocksBefore, record.blocksAfter);
   EXPECT_FALSE(record.stats.empty());
   // The manager's own record matches what the hook saw.
   ASSERT_EQ(pm.records().size(), 1u);
-  EXPECT_EQ(pm.records()[0].instsAfter, record.instsAfter);
+  EXPECT_EQ(pm.records()[0].millis, record.millis);
+  EXPECT_EQ(pm.records()[0].stats, record.stats);
 }
 
 TEST(PassInstrumentation, PrintIRBannersRespectFilters) {
@@ -447,7 +445,7 @@ struct MirRecordingInstr : mir::MPassInstrumentation {
 
 } // namespace
 
-TEST(MirPassInstrumentation, HookOrderAndOpDelta) {
+TEST(MirPassInstrumentation, HookOrderAndPassDuration) {
   TracerGuard guard(/*enable=*/false, /*enableMetrics=*/true);
   mir::MContext ctx;
   mir::OpBuilder builder(ctx);
@@ -470,12 +468,7 @@ TEST(MirPassInstrumentation, HookOrderAndOpDelta) {
       "A:before:mir-canonicalize", "B:before:mir-canonicalize",
       "B:after:mir-canonicalize", "A:after:mir-canonicalize"};
   EXPECT_EQ(log, expected);
-
-  // Op counting includes the module op: module + func + return >= 3, and
-  // canonicalize on this trivial module must not grow it.
-  EXPECT_GE(a.lastRecord.opsBefore, 3);
-  EXPECT_LE(a.lastRecord.opsAfter, a.lastRecord.opsBefore);
-  EXPECT_EQ(a.lastRecord.opsAfter, mir::countOps(module.get()));
+  EXPECT_EQ(a.lastRecord.passName, "mir-canonicalize");
 
   // The mir pipeline feeds the same pass-duration histogram.
   EXPECT_EQ(passTotals("mir", "mir-canonicalize").runs, 1);

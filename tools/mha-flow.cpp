@@ -274,11 +274,11 @@ int main(int argc, char **argv) {
   int failures = 0;
   for (size_t i = 0; i < jobs.size(); ++i) {
     const flow::FlowResult &result = outcome.results[i];
-    const flow::JobTrace &trace = outcome.trace.jobs[i];
+    const char *kernel = result.kernelName.c_str();
+    const char *kind = flow::flowKindName(result.kind);
     if (!result.ok) {
-      std::printf("%-10s %-8s %-7s %s\n", trace.kernel.c_str(),
-                  flow::flowKindName(trace.kind), "FAIL",
-                  trace.error.c_str());
+      std::printf("%-10s %-8s %-7s %s\n", kernel, kind, "FAIL",
+                  firstLine(result.diagnostics).c_str());
       ++failures;
       continue;
     }
@@ -295,33 +295,28 @@ int main(int argc, char **argv) {
     const vhls::FunctionReport *top = result.synth.top();
     if (noTimes)
       std::printf("%-10s %-8s %-7s %12lld %6lld %6lld %8lld %8lld\n",
-                  trace.kernel.c_str(), flow::flowKindName(trace.kind),
-                  status.c_str(), static_cast<long long>(top->latencyCycles),
+                  kernel, kind, status.c_str(),
+                  static_cast<long long>(top->latencyCycles),
                   static_cast<long long>(top->resources.dsp),
                   static_cast<long long>(top->resources.bram),
                   static_cast<long long>(top->resources.lut),
                   static_cast<long long>(top->resources.ff));
     else
       std::printf("%-10s %-8s %-7s %12lld %6lld %6lld %8lld %8lld %9.1f\n",
-                  trace.kernel.c_str(), flow::flowKindName(trace.kind),
-                  status.c_str(), static_cast<long long>(top->latencyCycles),
+                  kernel, kind, status.c_str(),
+                  static_cast<long long>(top->latencyCycles),
                   static_cast<long long>(top->resources.dsp),
                   static_cast<long long>(top->resources.bram),
                   static_cast<long long>(top->resources.lut),
-                  static_cast<long long>(top->resources.ff), trace.wallMs);
+                  static_cast<long long>(top->resources.ff),
+                  outcome.trace.jobs[i].wallMs);
   }
   if (noTimes)
     // No thread count either: serial and parallel runs must diff clean.
     std::printf("\n%zu jobs: %zu failed\n", outcome.trace.jobCount,
                 outcome.trace.failures);
   else
-    std::printf("\n%zu jobs on %u threads: %.0f ms wall, %.0f ms serial "
-                "(%.2fx), %zu failed\n",
-                outcome.trace.jobCount, outcome.trace.threads,
-                outcome.trace.wallMs, outcome.trace.serialMs,
-                outcome.trace.wallMs > 0
-                    ? outcome.trace.serialMs / outcome.trace.wallMs
-                    : 0.0,
+    std::printf("\n%s, %zu failed\n", outcome.trace.summary().c_str(),
                 outcome.trace.failures);
   if (timePasses)
     std::fprintf(stderr, "%s", metrics::passTimesTable().c_str());
@@ -340,7 +335,7 @@ int main(int argc, char **argv) {
                  static_cast<long long>(cache.bytes()));
   }
   if (!tracePath.empty() &&
-      !obscli::writeJsonArtifact("trace", tracePath, outcome.trace.json()))
+      !obscli::writeJsonArtifact("trace", tracePath, outcome.traceJson()))
     return 1;
   if (!chromeTracePath.empty() &&
       !obscli::writeJsonArtifact("chrome trace", chromeTracePath,
