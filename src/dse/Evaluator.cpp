@@ -57,10 +57,8 @@ Evaluator::Evaluator(const flow::KernelSpec &spec, EvaluatorOptions options)
 
 Evaluator::~Evaluator() = default;
 
-QoR Evaluator::runFlow(const flow::KernelConfig &config) {
+QoR qorFromFlowResult(const flow::FlowResult &result) {
   QoR qor;
-  flow::FlowResult result = flow::runAdaptorFlow(*spec_, config,
-                                                 options_.flow);
   if (!result.ok) {
     qor.error = firstLine(result.diagnostics);
     if (qor.error.empty())
@@ -78,7 +76,14 @@ QoR Evaluator::runFlow(const flow::KernelConfig &config) {
   qor.bram = top->resources.bram;
   qor.lut = top->resources.lut;
   qor.ff = top->resources.ff;
-  if (options_.cosim) {
+  return qor;
+}
+
+QoR Evaluator::runFlow(const flow::KernelConfig &config) {
+  flow::FlowResult result = flow::runAdaptorFlow(*spec_, config,
+                                                 options_.flow);
+  QoR qor = qorFromFlowResult(result);
+  if (qor.ok && options_.cosim) {
     std::string error;
     if (!flow::cosimAgainstReference(result, *spec_, error)) {
       qor.cosimOk = false;

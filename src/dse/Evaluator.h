@@ -53,6 +53,10 @@ struct QoR {
   std::string error;     // first diagnostic line when !ok
 };
 
+/// The QoR of a finished flow: the top function's latency and resources,
+/// or the flow's first diagnostic line when it failed.
+QoR qorFromFlowResult(const flow::FlowResult &result);
+
 struct EvaluatorOptions {
   /// Co-simulate every accepted design against the host reference; a
   /// mismatching design is recorded with cosimOk=false and never enters a

@@ -19,32 +19,6 @@ using lir::Opcode;
 using vhls::ceilDiv;
 using vhls::ResourceUsage;
 
-namespace {
-
-const lir::Value *pointerRootOf(const lir::Value *ptr) {
-  while (const auto *inst = dyn_cast<Instruction>(ptr)) {
-    if (inst->opcode() == Opcode::GEP || inst->opcode() == Opcode::Bitcast)
-      ptr = inst->operand(0);
-    else
-      break;
-  }
-  return ptr;
-}
-
-std::vector<int64_t> arrayDims(const lir::Type *type) {
-  std::vector<int64_t> dims;
-  if (const auto *pt = dyn_cast<lir::PointerType>(type))
-    type = pt->isOpaque() ? nullptr : pt->pointee();
-  while (type && type->isArray()) {
-    const auto *at = cast<lir::ArrayType>(type);
-    dims.push_back(static_cast<int64_t>(at->numElements()));
-    type = at->element();
-  }
-  return dims;
-}
-
-} // namespace
-
 /// The structural digest of the probed kernel. Everything estimate() needs
 /// is plain data copied out of the probe IR and reports — the probe
 /// modules themselves are released after construction.
@@ -221,32 +195,6 @@ struct QoREstimation::Model {
   }
 };
 
-namespace {
-
-QoR qorFromResult(const flow::FlowResult &result) {
-  QoR qor;
-  if (!result.ok) {
-    qor.error = firstLine(result.diagnostics);
-    if (qor.error.empty())
-      qor.error = "flow failed";
-    return qor;
-  }
-  const vhls::FunctionReport *top = result.synth.top();
-  if (!top) {
-    qor.error = "no top function report";
-    return qor;
-  }
-  qor.ok = true;
-  qor.latencyCycles = top->latencyCycles;
-  qor.dsp = top->resources.dsp;
-  qor.bram = top->resources.bram;
-  qor.lut = top->resources.lut;
-  qor.ff = top->resources.ff;
-  return qor;
-}
-
-} // namespace
-
 QoREstimation::QoREstimation() = default;
 QoREstimation::~QoREstimation() = default;
 
@@ -282,11 +230,11 @@ QoREstimation::build(const flow::KernelSpec &spec,
   pipeConfig.dataflow = false;
 
   flow::FlowResult base = flow::runAdaptorFlow(spec, baseConfig, flowOptions);
-  QoR baseQoR = qorFromResult(base);
+  QoR baseQoR = qorFromFlowResult(base);
   if (!baseQoR.ok)
     return fail("baseline probe failed: " + baseQoR.error);
   flow::FlowResult pipe = flow::runAdaptorFlow(spec, pipeConfig, flowOptions);
-  QoR pipeQoR = qorFromResult(pipe);
+  QoR pipeQoR = qorFromFlowResult(pipe);
   if (!pipeQoR.ok)
     return fail("pipelined probe failed: " + pipeQoR.error);
 
@@ -330,7 +278,7 @@ QoREstimation::build(const flow::KernelSpec &spec,
     model.arrays.push_back(array);
   };
   for (const auto &arg : fn->args()) {
-    std::vector<int64_t> dims = arrayDims(arg->type());
+    std::vector<int64_t> dims = lir::arrayDims(arg->type());
     if (!dims.empty())
       addArray(arg.get(), dims, arg->getMetadata("xlx.array_partition"));
   }
@@ -442,7 +390,7 @@ QoREstimation::build(const flow::KernelSpec &spec,
       Model::Access access;
       const lir::Value *ptr =
           inst->operand(inst->opcode() == Opcode::Store ? 1 : 0);
-      const lir::Value *base = pointerRootOf(ptr);
+      const lir::Value *base = lir::pointerRoot(ptr);
       access.arrayIdx = arrayIdxFor(base);
       if (inst->opcode() == Opcode::Load)
         L.loadsPerBase[access.arrayIdx]++;

@@ -1,5 +1,6 @@
 #include "dse/Strategy.h"
 
+#include "support/SplitMix64.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -7,35 +8,6 @@
 namespace mha::dse {
 
 namespace {
-
-/// Deterministic, platform-independent PRNG (splitmix64). std::shuffle
-/// with a standard engine is implementation-defined; the subset/replay
-/// guarantees in the tests need bit-identical sampling everywhere.
-class SplitMix64 {
-public:
-  explicit SplitMix64(uint64_t seed) : state_(seed) {}
-
-  uint64_t next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform in [0, bound) with rejection (bound is tiny vs 2^64, so the
-  /// modulo bias would be negligible, but rejection keeps it exact).
-  uint64_t below(uint64_t bound) {
-    uint64_t limit = bound * (UINT64_MAX / bound);
-    uint64_t value;
-    do {
-      value = next();
-    } while (value >= limit);
-    return value % bound;
-  }
-
-private:
-  uint64_t state_;
-};
 
 size_t effectiveBudget(const StrategyOptions &options, size_t upper) {
   if (options.budget == 0)

@@ -583,40 +583,51 @@ lir::Function *FlowResult::topFunction(std::string *error) const {
   return top;
 }
 
+CosimCheck compareWithReference(lir::Module &module, lir::Function &top,
+                                const KernelSpec &spec, const Buffers &host,
+                                ArgConvention convention) {
+  Buffers device = makeBuffers(spec);
+  seedBuffers(device);
+  std::vector<void *> pointers;
+  for (auto &buffer : device)
+    pointers.push_back(buffer.data());
+  DiagnosticEngine diags;
+  interp::Interpreter interpreter(module);
+  auto run = interpreter.run(
+      &top,
+      convention == ArgConvention::Descriptor
+          ? interp::descriptorArgs(pointers, spec.bufferShapes)
+          : interp::pointerArgs(pointers),
+      diags);
+  if (!run)
+    return {CosimCheck::Status::InterpError, diags.str()};
+  for (unsigned out : spec.outputs) {
+    for (size_t i = 0; i < device[out].size(); ++i) {
+      double d = device[out][i], h = host[out][i];
+      if (d != h && !(std::isnan(d) && std::isnan(h)))
+        return {CosimCheck::Status::Mismatch,
+                strfmt("buffer %u element %zu: device=%.17g host=%.17g", out,
+                       i, d, h)};
+    }
+  }
+  return {};
+}
+
 bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,
                            std::string &error) {
   lir::Function *top = result.topFunction(&error);
   if (!top)
     return false;
-  // Seed identical inputs for device and host.
-  Buffers device = makeBuffers(spec);
-  seedBuffers(device);
-  Buffers host = device;
+  Buffers host = makeBuffers(spec);
+  seedBuffers(host);
   spec.reference(host);
-
-  std::vector<void *> pointers;
-  for (auto &buffer : device)
-    pointers.push_back(buffer.data());
-
-  DiagnosticEngine diags;
-  interp::Interpreter interpreter(*result.module());
-  auto run = interpreter.run(top, interp::pointerArgs(pointers), diags);
-  if (!run) {
-    error = "interpreter failed: " + diags.str();
-    return false;
-  }
-
-  for (unsigned out : spec.outputs) {
-    for (size_t i = 0; i < device[out].size(); ++i) {
-      if (device[out][i] != host[out][i] &&
-          !(std::isnan(device[out][i]) && std::isnan(host[out][i]))) {
-        error = strfmt("buffer %u element %zu: device=%.17g host=%.17g", out,
-                       i, device[out][i], host[out][i]);
-        return false;
-      }
-    }
-  }
-  return true;
+  CosimCheck check = compareWithReference(*result.module(), *top, spec, host,
+                                          ArgConvention::Pointer);
+  if (check.status == CosimCheck::Status::InterpError)
+    error = "interpreter failed: " + check.detail;
+  else if (!check.matched())
+    error = check.detail;
+  return check.matched();
 }
 
 } // namespace mha::flow

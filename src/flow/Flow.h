@@ -159,9 +159,33 @@ vhls::SynthesisReport synthesizeModule(lir::Module &module,
                                        const FlowOptions &options,
                                        DiagnosticEngine &diags);
 
-/// Executes the flow's final IR against the host reference. Returns true
-/// when every output buffer matches bit-for-bit; `error` explains any
-/// mismatch. Runs on the flattened (one pointer per array) convention.
+/// How compareWithReference passes the buffers to the top function: one
+/// flat pointer per array (post-adaptor IR, the C++ frontend's IR) or one
+/// memref descriptor per array (freshly lowered LIR).
+enum class ArgConvention { Pointer, Descriptor };
+
+/// What compareWithReference found.
+struct CosimCheck {
+  enum class Status { Match, InterpError, Mismatch };
+  Status status = Status::Match;
+  /// The interpreter's diagnostics, or the first mismatching element.
+  std::string detail;
+
+  bool matched() const { return status == Status::Match; }
+};
+
+/// The one co-simulation check. Interprets `top` (a function of `module`)
+/// on freshly seeded buffers (seedBuffers' default seed) and compares every
+/// output buffer of `spec` bit-exactly against `host`, the seeded buffers
+/// after spec.reference; two NaNs compare equal. cosimAgainstReference and
+/// every stage of the fuzz oracle's kernel mode call it.
+CosimCheck compareWithReference(lir::Module &module, lir::Function &top,
+                                const KernelSpec &spec, const Buffers &host,
+                                ArgConvention convention);
+
+/// Executes the flow's final IR against the host reference under the
+/// pointer convention (compareWithReference). Returns true when every
+/// output buffer matches bit-for-bit; `error` explains any mismatch.
 bool cosimAgainstReference(const FlowResult &result, const KernelSpec &spec,
                            std::string &error);
 

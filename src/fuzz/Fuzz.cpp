@@ -8,6 +8,7 @@
 #include "mir/Verifier.h"
 #include "mir/transforms/MirTransforms.h"
 #include "support/Json.h"
+#include "support/SplitMix64.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -19,15 +20,6 @@
 namespace mha::fuzz {
 
 namespace {
-
-/// One splitmix64 round: decorrelates per-program seeds from the campaign
-/// seed so seed N and seed N+1 do not generate sibling programs.
-uint64_t mix(uint64_t x) {
-  uint64_t z = x + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 /// Seeds are 64-bit; JSON numbers are doubles (53-bit mantissa), so they
 /// travel as decimal strings.
@@ -45,10 +37,11 @@ std::optional<uint64_t> parseSeed(const std::string &text) {
   return value;
 }
 
-/// Renders the reduced kernel program's lowered LIR (the parseable .lir
-/// reproducer). Empty when the failing stage precedes LIR generation.
-std::string loweredLirText(const Program &program,
-                           const flow::KernelConfig &config) {
+/// A reduced program's parseable .lir reproducer. A kernel program renders
+/// its lowered LIR, which is empty when the failing stage precedes LIR
+/// generation; ir and calls programs are .lir already.
+std::string reproducerLir(const Program &program,
+                          const flow::KernelConfig &config) {
   flow::KernelSpec spec = program.toKernelSpec();
   DiagnosticEngine diags;
   mir::MContext mctx;
@@ -103,75 +96,92 @@ std::optional<GenOptions> genOptionsFromJson(const json::Value &v,
   return gen;
 }
 
-/// Checks one campaign position; fills `failure` when the oracle flags it.
-std::optional<FuzzFailure> checkOne(const std::string &mode, uint64_t seed,
-                                    const FuzzOptions &options) {
-  telemetry::Span span(strfmt("fuzz:%s:%s", mode.c_str(),
-                              seedString(seed).c_str()),
-                       "fuzz");
-  ProgramGen gen(seed, options.gen);
-  OracleResult result;
-  size_t size = 0;
-  if (mode == "kernel") {
-    Program program = gen.genKernel();
+template <typename P>
+std::string reproducerLir(const P &program, const flow::KernelConfig &) {
+  return program.lir();
+}
+
+/// One mode's program pipeline: `Generate` builds the seed's program,
+/// `Check` is its oracle and `Reduce` its reducer.
+template <auto Generate, auto Check, auto Reduce> struct ModeOps {
+  /// Generates `seed`'s program and checks it; `size` gets its size.
+  static OracleResult check(uint64_t seed, const FuzzOptions &options,
+                            size_t &size) {
+    ProgramGen gen(seed, options.gen);
+    auto program = (gen.*Generate)();
     size = program.size();
-    result = checkKernel(program, options.oracle);
-  } else if (mode == "calls") {
-    CallProgram program = gen.genCalls();
-    size = program.size();
-    result = checkCalls(program, options.oracle);
-  } else {
-    IrProgram program = gen.genIr();
-    size = program.size();
-    result = checkIr(program, options.oracle);
+    return Check(program, options.oracle);
   }
+
+  /// Regenerates the program, reduces it (when options.reduce) and fills
+  /// the failure's reduced size, attempts, description and .lir.
+  static void reduce(FuzzFailure &failure, const FuzzOptions &options) {
+    ProgramGen gen(failure.programSeed, options.gen);
+    auto program = (gen.*Generate)();
+    ReductionTrace trace;
+    auto reduced = options.reduce ? Reduce(program, failure.result,
+                                           options.oracle, options.reducer,
+                                           &trace)
+                                  : program;
+    failure.reducedSize = reduced.size();
+    failure.reduceAttempts = trace.attempts;
+    failure.reducedDescription = reduced.describe();
+    failure.reducedLir = reproducerLir(reduced, options.oracle.config);
+  }
+};
+
+/// One row per fuzz mode, in campaign order.
+struct ModeRow {
+  const char *name;               // "kernel" | "ir" | "calls"
+  FuzzOptions::Mode mode;         // the --mode value that runs only it
+  uint64_t FuzzReport::*programs; // its program counter
+  OracleResult (*check)(uint64_t seed, const FuzzOptions &, size_t &size);
+  void (*reduce)(FuzzFailure &, const FuzzOptions &);
+};
+
+using KernelOps = ModeOps<&ProgramGen::genKernel, checkKernel, reduceKernel>;
+using IrOps = ModeOps<&ProgramGen::genIr, checkIr, reduceIr>;
+using CallsOps = ModeOps<&ProgramGen::genCalls, checkCalls, reduceCalls>;
+
+constexpr ModeRow kModes[] = {
+    {"kernel", FuzzOptions::Mode::Kernel, &FuzzReport::kernelPrograms,
+     KernelOps::check, KernelOps::reduce},
+    {"ir", FuzzOptions::Mode::Ir, &FuzzReport::irPrograms, IrOps::check,
+     IrOps::reduce},
+    {"calls", FuzzOptions::Mode::Calls, &FuzzReport::callsPrograms,
+     CallsOps::check, CallsOps::reduce},
+};
+
+const ModeRow *findMode(const std::string &name) {
+  for (const ModeRow &row : kModes)
+    if (name == row.name)
+      return &row;
+  return nullptr;
+}
+
+/// Whether a campaign under `mode` runs `row` (Both = kernel + ir).
+bool runsMode(FuzzOptions::Mode mode, const ModeRow &row) {
+  return mode == row.mode || mode == FuzzOptions::Mode::All ||
+         (mode == FuzzOptions::Mode::Both &&
+          row.mode != FuzzOptions::Mode::Calls);
+}
+
+/// Checks one campaign position; fills `failure` when the oracle flags it.
+std::optional<FuzzFailure> checkOne(const ModeRow &row, uint64_t seed,
+                                    const FuzzOptions &options) {
+  telemetry::Span span(
+      strfmt("fuzz:%s:%s", row.name, seedString(seed).c_str()), "fuzz");
+  size_t size = 0;
+  OracleResult result = row.check(seed, options, size);
   if (result.ok)
     return std::nullopt;
   FuzzFailure failure;
-  failure.mode = mode;
+  failure.mode = row.name;
   failure.programSeed = seed;
   failure.result = result;
   failure.originalSize = size;
   failure.reducedSize = size;
   return failure;
-}
-
-/// Reduces a flagged program and fills the reproducer text fields.
-void reduceFailure(FuzzFailure &failure, const FuzzOptions &options) {
-  ProgramGen gen(failure.programSeed, options.gen);
-  ReductionTrace trace;
-  if (failure.mode == "kernel") {
-    Program program = gen.genKernel();
-    Program reduced = options.reduce
-                          ? reduceKernel(program, failure.result,
-                                         options.oracle, options.reducer,
-                                         &trace)
-                          : program;
-    failure.reducedSize = reduced.size();
-    failure.reduceAttempts = trace.attempts;
-    failure.reducedDescription = reduced.describe();
-    failure.reducedLir = loweredLirText(reduced, options.oracle.config);
-  } else if (failure.mode == "calls") {
-    CallProgram program = gen.genCalls();
-    CallProgram reduced =
-        options.reduce ? reduceCalls(program, failure.result, options.oracle,
-                                     options.reducer, &trace)
-                       : program;
-    failure.reducedSize = reduced.size();
-    failure.reduceAttempts = trace.attempts;
-    failure.reducedDescription = reduced.describe();
-    failure.reducedLir = reduced.lir();
-  } else {
-    IrProgram program = gen.genIr();
-    IrProgram reduced =
-        options.reduce ? reduceIr(program, failure.result, options.oracle,
-                                  options.reducer, &trace)
-                       : program;
-    failure.reducedSize = reduced.size();
-    failure.reduceAttempts = trace.attempts;
-    failure.reducedDescription = reduced.describe();
-    failure.reducedLir = reduced.lir();
-  }
 }
 
 void writeArtifacts(FuzzFailure &failure, const FuzzOptions &options) {
@@ -193,23 +203,16 @@ void writeArtifacts(FuzzFailure &failure, const FuzzOptions &options) {
 } // namespace
 
 const char *fuzzModeName(FuzzOptions::Mode mode) {
-  switch (mode) {
-  case FuzzOptions::Mode::Kernel:
-    return "kernel";
-  case FuzzOptions::Mode::Ir:
-    return "ir";
-  case FuzzOptions::Mode::Calls:
-    return "calls";
-  case FuzzOptions::Mode::Both:
-    return "both";
-  case FuzzOptions::Mode::All:
-    return "all";
-  }
-  return "?";
+  for (const ModeRow &row : kModes)
+    if (row.mode == mode)
+      return row.name;
+  return mode == FuzzOptions::Mode::Both ? "both" : "all";
 }
 
 uint64_t deriveProgramSeed(uint64_t campaignSeed, uint64_t index) {
-  return mix(campaignSeed ^ mix(index + 1));
+  // splitmix64 rounds decorrelate per-program seeds from the campaign seed,
+  // so seed N and seed N+1 do not generate sibling programs.
+  return SplitMix64::mix(campaignSeed ^ SplitMix64::mix(index + 1));
 }
 
 std::string FuzzFailure::reproJson(const GenOptions &gen) const {
@@ -272,26 +275,17 @@ FuzzReport runFuzz(const FuzzOptions &options) {
   report.mode = fuzzModeName(options.mode);
   report.jobs = options.jobs == 0 ? 1 : options.jobs;
 
-  std::vector<std::string> modes;
-  if (options.mode == FuzzOptions::Mode::Kernel ||
-      options.mode == FuzzOptions::Mode::Both ||
-      options.mode == FuzzOptions::Mode::All)
-    modes.push_back("kernel");
-  if (options.mode == FuzzOptions::Mode::Ir ||
-      options.mode == FuzzOptions::Mode::Both ||
-      options.mode == FuzzOptions::Mode::All)
-    modes.push_back("ir");
-  if (options.mode == FuzzOptions::Mode::Calls ||
-      options.mode == FuzzOptions::Mode::All)
-    modes.push_back("calls");
-
   // (mode, program seed) work list; seeds depend only on the campaign
   // seed and position, never on thread scheduling.
-  std::vector<std::pair<std::string, uint64_t>> work;
-  for (const std::string &mode : modes)
+  std::vector<std::pair<const ModeRow *, uint64_t>> work;
+  for (const ModeRow &row : kModes) {
+    if (!runsMode(options.mode, row))
+      continue;
+    report.*row.programs += static_cast<uint64_t>(options.budget);
     for (int i = 0; i < options.budget; ++i)
-      work.push_back({mode, deriveProgramSeed(options.seed,
+      work.push_back({&row, deriveProgramSeed(options.seed,
                                               static_cast<uint64_t>(i))});
+  }
 
   std::vector<std::optional<FuzzFailure>> slots(work.size());
   if (report.jobs > 1) {
@@ -300,30 +294,24 @@ FuzzReport runFuzz(const FuzzOptions &options) {
       telemetry::Tracer::setThreadLane(
           2000 + static_cast<uint32_t>(ThreadPool::currentWorkerIndex()),
           strfmt("fuzz-worker-%d", ThreadPool::currentWorkerIndex()));
-      slots[i] = checkOne(work[i].first, work[i].second, options);
+      slots[i] = checkOne(*work[i].first, work[i].second, options);
     });
   } else {
     for (size_t i = 0; i < work.size(); ++i)
-      slots[i] = checkOne(work[i].first, work[i].second, options);
-  }
-
-  for (const std::string &mode : modes) {
-    uint64_t &counter = mode == "kernel" ? report.kernelPrograms
-                        : mode == "calls" ? report.callsPrograms
-                                          : report.irPrograms;
-    counter += static_cast<uint64_t>(options.budget);
+      slots[i] = checkOne(*work[i].first, work[i].second, options);
   }
 
   // Reduction is serial and in campaign order: reproducibility over
   // latency (failures are the rare case).
-  for (auto &slot : slots) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    std::optional<FuzzFailure> &slot = slots[i];
     if (!slot)
       continue;
     telemetry::Span reduceSpan(
         strfmt("fuzz-reduce:%s:%s", slot->mode.c_str(),
                seedString(slot->programSeed).c_str()),
         "fuzz");
-    reduceFailure(*slot, options);
+    work[i].first->reduce(*slot, options);
     writeArtifacts(*slot, options);
     report.failures.push_back(std::move(*slot));
   }
@@ -346,10 +334,10 @@ std::optional<FuzzFailure> replayRepro(const std::string &reproJson,
     error = "unsupported reproducer schema (want mha.fuzz.repro.v1)";
     return std::nullopt;
   }
-  const json::Value *mode = doc->get("mode");
-  if (!mode ||
-      (mode->asString() != "kernel" && mode->asString() != "ir" &&
-       mode->asString() != "calls")) {
+  const json::Value *modeField = doc->get("mode");
+  const ModeRow *row =
+      modeField ? findMode(modeField->asString()) : nullptr;
+  if (!row) {
     error = "reproducer mode must be \"kernel\", \"ir\" or \"calls\"";
     return std::nullopt;
   }
@@ -369,15 +357,14 @@ std::optional<FuzzFailure> replayRepro(const std::string &reproJson,
     replay.gen = *parsed;
   }
 
-  std::optional<FuzzFailure> failure =
-      checkOne(mode->asString(), *seed, replay);
+  std::optional<FuzzFailure> failure = checkOne(*row, *seed, replay);
   if (!failure) {
     error = "reproducer no longer fails (bug already fixed?)";
     if (noLongerFails)
       *noLongerFails = true;
     return std::nullopt;
   }
-  reduceFailure(*failure, replay);
+  row->reduce(*failure, replay);
   writeArtifacts(*failure, replay);
   return failure;
 }

@@ -8,6 +8,11 @@
 // replayRepro() can re-run and re-reduce later: programs are fully
 // determined by (mode, seed, generator options), so the reproducer is a
 // few integers, not a serialized AST.
+//
+// Fuzz.cpp keeps one table row per mode (kernel, ir, calls): its name, its
+// program counter in FuzzReport, generate-and-check and
+// reduce-and-render. Campaigns, report counters and reproducer replay all
+// look a mode up in that table, so a new mode is one new row.
 #pragma once
 
 #include "fuzz/Oracle.h"

@@ -4,9 +4,12 @@
 // stage sequence instead of calling runAdaptorFlow/runHlsCppFlow: the flow
 // drivers only retain the final module, while the oracle must co-simulate
 // every intermediate stage to attribute a divergence to the stage that
-// introduced it (lowering vs adaptor vs C++ round-trip). The backend
-// legs, which need no intermediate module, call the flows' own synth stage
-// (flow::synthesizeModule).
+// introduced it (lowering vs adaptor vs C++ round-trip). Each stage is
+// co-simulated by flow::compareWithReference, the check
+// cosimAgainstReference runs on a flow's final IR. The ir and calls modes
+// check every stage with one argument-set comparison (checkArgSets). The
+// backend legs, which need no intermediate module, call the flows' own
+// synth stage (flow::synthesizeModule).
 #include "fuzz/Oracle.h"
 
 #include "adaptor/Adaptor.h"
@@ -24,8 +27,6 @@
 #include "mir/Verifier.h"
 #include "mir/transforms/MirTransforms.h"
 #include "support/StringUtils.h"
-
-#include <cmath>
 
 namespace mha::fuzz {
 
@@ -56,41 +57,40 @@ OracleResult fail(FailureKind kind, std::string stage, std::string detail) {
   return r;
 }
 
-/// Interprets `module`'s top function on freshly seeded buffers and
-/// compares every output element bit-exactly against `host`. Returns a
-/// failure result, or nullopt when the stage agrees.
-std::optional<OracleResult> compareStage(lir::Module &module,
-                                         const flow::KernelSpec &spec,
-                                         const flow::Buffers &host,
-                                         const std::string &stage,
-                                         bool descriptorConvention) {
-  lir::Function *fn = module.getFunction(spec.name);
-  if (!fn)
-    return fail(FailureKind::FlowError, stage,
-                "top function '" + spec.name + "' missing");
-  flow::Buffers device = flow::makeBuffers(spec);
-  flow::seedBuffers(device);
-  std::vector<void *> pointers;
-  for (auto &buffer : device)
-    pointers.push_back(buffer.data());
-  DiagnosticEngine diags;
-  interp::Interpreter interpreter(module);
-  auto run = interpreter.run(fn,
-                             descriptorConvention
-                                 ? interp::descriptorArgs(pointers,
-                                                          spec.bufferShapes)
-                                 : interp::pointerArgs(pointers),
-                             diags);
-  if (!run)
-    return fail(FailureKind::InterpError, stage, diags.str());
-  for (unsigned out : spec.outputs) {
-    for (size_t i = 0; i < device[out].size(); ++i) {
-      double d = device[out][i], h = host[out][i];
-      if (d != h && !(std::isnan(d) && std::isnan(h)))
+/// Interprets `fn` once per argument set and compares each result with
+/// `expected` (same order): a set expected to trap must trap, any other
+/// must return the expected value. `label` names the interpreted result in
+/// a mismatch detail ("interp", "transformed"). Returns the first failure,
+/// or nullopt when every set agrees.
+std::optional<OracleResult>
+checkArgSets(lir::Module &module, lir::Function *fn,
+             const std::vector<std::vector<int64_t>> &argSets,
+             const std::vector<IrEval> &expected, const std::string &stage,
+             const char *label) {
+  for (size_t s = 0; s < argSets.size(); ++s) {
+    std::vector<interp::RtValue> rtArgs;
+    for (int64_t a : argSets[s])
+      rtArgs.push_back(interp::RtValue::ofInt(a));
+    DiagnosticEngine runDiags;
+    interp::Interpreter interpreter(module);
+    auto run = interpreter.run(fn, rtArgs, runDiags);
+    const IrEval &ref = expected[s];
+    if (ref.trapped) {
+      if (run)
         return fail(FailureKind::Mismatch, stage,
-                    strfmt("buffer %u element %zu: device=%.17g host=%.17g",
-                           out, i, d, h));
+                    strfmt("argset %zu: expected trap (%s), got %lld", s,
+                           ref.trapReason.c_str(),
+                           static_cast<long long>(run->i)));
+      continue;
     }
+    if (!run)
+      return fail(FailureKind::InterpError, stage,
+                  strfmt("argset %zu: ", s) + runDiags.str());
+    if (run->i != ref.value)
+      return fail(FailureKind::Mismatch, stage,
+                  strfmt("argset %zu: %s=%lld reference=%lld", s, label,
+                         static_cast<long long>(run->i),
+                         static_cast<long long>(ref.value)));
   }
   return std::nullopt;
 }
@@ -123,6 +123,24 @@ OracleResult checkKernel(const Program &program,
   flow::seedBuffers(host);
   spec.reference(host);
 
+  // Co-simulates one stage's module against the host reference.
+  auto cosim = [&](lir::Module &stageModule, const char *stage,
+                   flow::ArgConvention convention)
+      -> std::optional<OracleResult> {
+    lir::Function *fn = stageModule.getFunction(spec.name);
+    if (!fn)
+      return fail(FailureKind::FlowError, stage,
+                  "top function '" + spec.name + "' missing");
+    flow::CosimCheck check =
+        flow::compareWithReference(stageModule, *fn, spec, host, convention);
+    if (check.matched())
+      return std::nullopt;
+    return fail(check.status == flow::CosimCheck::Status::InterpError
+                    ? FailureKind::InterpError
+                    : FailureKind::Mismatch,
+                stage, check.detail);
+  };
+
   DiagnosticEngine diags;
   mir::MContext mctx;
   mir::OwnedModule module = spec.build(mctx, options.config);
@@ -134,8 +152,6 @@ OracleResult checkKernel(const Program &program,
     pm.add(mir::createCanonicalizePass());
     if (!pm.run(module.get(), diags))
       return fail(FailureKind::FlowError, "mlir-canonicalize", diags.str());
-    if (!mir::verifyModule(module.get(), diags))
-      return fail(FailureKind::Verifier, "mlir-canonicalize", diags.str());
   }
 
   // Leg 1: HLS-C++ baseline (consumes the structured module, so it runs
@@ -149,7 +165,7 @@ OracleResult checkKernel(const Program &program,
     if (!cmod)
       return fail(FailureKind::FlowError, "hls-frontend", diags.str());
     if (auto failure =
-            compareStage(*cmod, spec, host, "hls-frontend", false))
+            cosim(*cmod, "hls-frontend", flow::ArgConvention::Pointer))
       return *failure;
   }
 
@@ -160,8 +176,6 @@ OracleResult checkKernel(const Program &program,
     pm.add(mir::createCanonicalizePass());
     if (!pm.run(module.get(), diags))
       return fail(FailureKind::FlowError, "affine-to-scf", diags.str());
-    if (!mir::verifyModule(module.get(), diags))
-      return fail(FailureKind::Verifier, "affine-to-scf", diags.str());
   }
   lir::LContext lctx;
   std::unique_ptr<lir::Module> lowered =
@@ -171,7 +185,8 @@ OracleResult checkKernel(const Program &program,
     return fail(FailureKind::FlowError, "lower-to-lir", diags.str());
   if (!lir::verifyModule(*lowered, diags))
     return fail(FailureKind::Verifier, "lower-to-lir", diags.str());
-  if (auto failure = compareStage(*lowered, spec, host, "lowered-lir", true))
+  if (auto failure =
+          cosim(*lowered, "lowered-lir", flow::ArgConvention::Descriptor))
     return *failure;
 
   // Leg 3: HLS adaptor (pointer convention), in place on the lowered
@@ -184,7 +199,7 @@ OracleResult checkKernel(const Program &program,
   }
   if (options.mutateAdaptorModule)
     options.mutateAdaptorModule(*lowered);
-  if (auto failure = compareStage(*lowered, spec, host, "adaptor", false))
+  if (auto failure = cosim(*lowered, "adaptor", flow::ArgConvention::Pointer))
     return *failure;
 
   // Leg 4: the virtual HLS backend must accept what the adaptor produced.
@@ -213,34 +228,13 @@ OracleResult checkIr(const IrProgram &program, const OracleOptions &options) {
   // Stage 1: interpreter vs host reference, including trap agreement.
   std::vector<IrEval> refs;
   bool anyTrap = false;
-  for (size_t s = 0; s < program.argSets.size(); ++s) {
-    const std::vector<int64_t> &args = program.argSets[s];
-    IrEval ref = evalIrReference(program, args);
-    refs.push_back(ref);
-    anyTrap |= ref.trapped;
-    std::vector<interp::RtValue> rtArgs;
-    for (int64_t a : args)
-      rtArgs.push_back(interp::RtValue::ofInt(a));
-    DiagnosticEngine runDiags;
-    interp::Interpreter interpreter(*module);
-    auto run = interpreter.run(fn, rtArgs, runDiags);
-    if (ref.trapped) {
-      if (run)
-        return fail(FailureKind::Mismatch, "interp",
-                    strfmt("argset %zu: expected trap (%s), got %lld", s,
-                           ref.trapReason.c_str(),
-                           static_cast<long long>(run->i)));
-      continue;
-    }
-    if (!run)
-      return fail(FailureKind::InterpError, "interp",
-                  strfmt("argset %zu: ", s) + runDiags.str());
-    if (run->i != ref.value)
-      return fail(FailureKind::Mismatch, "interp",
-                  strfmt("argset %zu: interp=%lld reference=%lld", s,
-                         static_cast<long long>(run->i),
-                         static_cast<long long>(ref.value)));
+  for (const std::vector<int64_t> &args : program.argSets) {
+    refs.push_back(evalIrReference(program, args));
+    anyTrap |= refs.back().trapped;
   }
+  if (auto failure =
+          checkArgSets(*module, fn, program.argSets, refs, "interp", "interp"))
+    return *failure;
 
   // Stage 2: the O2-lite pipeline must preserve behavior on UB-free
   // programs (a trapping program may legitimately lose its trap to DCE).
@@ -255,22 +249,9 @@ OracleResult checkIr(const IrProgram &program, const OracleOptions &options) {
     pm.add(lir::createDCEPass());
     if (!pm.run(*module, diags))
       return fail(FailureKind::Verifier, "o2-lite", diags.str());
-    for (size_t s = 0; s < program.argSets.size(); ++s) {
-      std::vector<interp::RtValue> rtArgs;
-      for (int64_t a : program.argSets[s])
-        rtArgs.push_back(interp::RtValue::ofInt(a));
-      DiagnosticEngine runDiags;
-      interp::Interpreter interpreter(*module);
-      auto run = interpreter.run(fn, rtArgs, runDiags);
-      if (!run)
-        return fail(FailureKind::InterpError, "o2-lite",
-                    strfmt("argset %zu: ", s) + runDiags.str());
-      if (run->i != refs[s].value)
-        return fail(FailureKind::Mismatch, "o2-lite",
-                    strfmt("argset %zu: transformed=%lld reference=%lld", s,
-                           static_cast<long long>(run->i),
-                           static_cast<long long>(refs[s].value)));
-    }
+    if (auto failure = checkArgSets(*module, fn, program.argSets, refs,
+                                    "o2-lite", "transformed"))
+      return *failure;
   }
   return OracleResult{};
 }
@@ -292,28 +273,11 @@ OracleResult checkCalls(const CallProgram &program,
   // Stage 1: interpret the multi-function module (calls executed by the
   // interpreter's call stack) against the host reference. Calls-mode
   // programs are trap-free by construction, so every set must agree.
-  auto runSets =
-      [&](const std::string &stage) -> std::optional<OracleResult> {
-    for (size_t s = 0; s < program.argSets.size(); ++s) {
-      int64_t ref = evalCallsReference(program, program.argSets[s]);
-      std::vector<interp::RtValue> rtArgs;
-      for (int64_t a : program.argSets[s])
-        rtArgs.push_back(interp::RtValue::ofInt(a));
-      DiagnosticEngine runDiags;
-      interp::Interpreter interpreter(*module);
-      auto run = interpreter.run(fn, rtArgs, runDiags);
-      if (!run)
-        return fail(FailureKind::InterpError, stage,
-                    strfmt("argset %zu: ", s) + runDiags.str());
-      if (run->i != ref)
-        return fail(FailureKind::Mismatch, stage,
-                    strfmt("argset %zu: interp=%lld reference=%lld", s,
-                           static_cast<long long>(run->i),
-                           static_cast<long long>(ref)));
-    }
-    return std::nullopt;
-  };
-  if (auto failure = runSets("interp"))
+  std::vector<IrEval> refs(program.argSets.size());
+  for (size_t s = 0; s < program.argSets.size(); ++s)
+    refs[s].value = evalCallsReference(program, program.argSets[s]);
+  if (auto failure =
+          checkArgSets(*module, fn, program.argSets, refs, "interp", "interp"))
     return *failure;
 
   // Stage 2: the call-legalization pipeline (exactly the passes the
@@ -340,7 +304,8 @@ OracleResult checkCalls(const CallProgram &program,
   if (!fn)
     return fail(FailureKind::FlowError, "call-legalize",
                 "@fuzz_calls erased by legalization");
-  if (auto failure = runSets("call-legalize"))
+  if (auto failure = checkArgSets(*module, fn, program.argSets, refs,
+                                  "call-legalize", "interp"))
     return *failure;
 
   // Stage 3: the virtual HLS backend must accept the legalized module

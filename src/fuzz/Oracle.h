@@ -5,12 +5,20 @@
 // every executable stage pair and reports the FIRST diverging stage:
 //
 //   kernel mode:  structured MLIR -> {HLS-C++ frontend IR, lowered LIR,
-//                 post-adaptor HLS IR} each co-simulated bit-exactly,
-//                 plus virtual-HLS acceptance;
+//                 post-adaptor HLS IR} each co-simulated bit-exactly by
+//                 flow::compareWithReference, plus virtual-HLS acceptance;
 //   ir mode:      .lir print/parse round-trip -> interpreter vs host
 //                 reference per argument set (including trap agreement),
 //                 then the O2-lite transform pipeline re-checked on
-//                 UB-free programs.
+//                 UB-free programs;
+//   calls mode:   multi-function .lir -> interpreter vs host reference per
+//                 argument set, then the call-legalization pipeline
+//                 re-checked, plus virtual-HLS acceptance.
+//
+// The ir and calls stages share one argument-set check, so a mismatch
+// detail reads the same in every mode ("argset N: interp=X reference=Y").
+// Stages are checked at stage boundaries only; a check per pass (naming the
+// pass that diverged) would call the same two comparisons from a pass hook.
 #pragma once
 
 #include "flow/Kernels.h"

@@ -24,6 +24,7 @@
 #include "mir/transforms/MirTransforms.h"
 #include "support/Json.h"
 #include "support/IntMath.h"
+#include "support/SplitMix64.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -34,36 +35,6 @@
 namespace mha::fuzz {
 
 namespace {
-
-/// Deterministic, platform-independent PRNG (same idiom as the DSE
-/// strategies' sampler).
-class SplitMix64 {
-public:
-  explicit SplitMix64(uint64_t seed) : state_(seed) {}
-
-  uint64_t next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
-  uint64_t below(uint64_t bound) {
-    uint64_t limit = bound * (UINT64_MAX / bound);
-    uint64_t value;
-    do {
-      value = next();
-    } while (value >= limit);
-    return value % bound;
-  }
-
-  int64_t range(int64_t lo, int64_t hi) { // inclusive
-    return lo + static_cast<int64_t>(below(static_cast<uint64_t>(hi - lo + 1)));
-  }
-
-private:
-  uint64_t state_;
-};
 
 // Wrap-around helpers over canonical values.
 int64_t wrapAdd(int64_t a, int64_t b) {

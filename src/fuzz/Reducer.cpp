@@ -21,7 +21,8 @@ namespace mha::fuzz {
 
 namespace {
 
-using Edit = std::function<void(Program &)>;
+/// One candidate edit, applied in place to a copy of the current program.
+template <typename P> using Edit = std::function<void(P &)>;
 
 void collectReachableF(const Program &p, std::vector<bool> &fSeen,
                        std::vector<bool> &iSeen) {
@@ -73,8 +74,8 @@ void peelOuterLoop(Program &p) {
 }
 
 /// Candidate edits for the current program, most aggressive first.
-std::vector<Edit> kernelEdits(const Program &p) {
-  std::vector<Edit> edits;
+std::vector<Edit<Program>> kernelEdits(const Program &p) {
+  std::vector<Edit<Program>> edits;
   if (p.stmts.size() > 1)
     for (size_t s = 0; s < p.stmts.size(); ++s)
       edits.push_back([s](Program &q) {
@@ -153,8 +154,6 @@ std::vector<Edit> kernelEdits(const Program &p) {
   return edits;
 }
 
-using IrEdit = std::function<void(IrProgram &)>;
-
 /// Removes instructions the return value does not depend on, remapping
 /// operand indices (constants are kept: they cost nothing and removing
 /// them would churn every instruction index).
@@ -197,8 +196,8 @@ bool dceIr(IrProgram &p) {
   return true;
 }
 
-std::vector<IrEdit> irEdits(const IrProgram &p) {
-  std::vector<IrEdit> edits;
+std::vector<Edit<IrProgram>> irEdits(const IrProgram &p) {
+  std::vector<Edit<IrProgram>> edits;
   int instBase = static_cast<int>(p.numArgs + p.consts.size());
   // Retarget the return to an earlier instruction, then garbage-collect.
   if (p.ret >= instBase)
@@ -249,8 +248,6 @@ std::vector<IrEdit> irEdits(const IrProgram &p) {
             [s, a](IrProgram &q) { q.argSets[s][a] = 0; });
   return edits;
 }
-
-using CallEdit = std::function<void(CallProgram &)>;
 
 /// Op-level DCE inside one calls-mode function: drops ops the return
 /// does not reach (sound — every op is pure and terminating), remapping
@@ -352,8 +349,8 @@ void dceCallProgram(CallProgram &p) {
   gcCallFns(p);
 }
 
-std::vector<CallEdit> callEdits(const CallProgram &p) {
-  std::vector<CallEdit> edits;
+std::vector<Edit<CallProgram>> callEdits(const CallProgram &p) {
+  std::vector<Edit<CallProgram>> edits;
   // Replace a call site with a bitwise op over its operands, then
   // garbage-collect whatever became unreachable.
   auto decall = [&](bool top, size_t fnIdx) {
@@ -427,26 +424,34 @@ std::vector<CallEdit> callEdits(const CallProgram &p) {
   return edits;
 }
 
-} // namespace
-
-Program reduceKernel(const Program &program, const OracleResult &failure,
-                     const OracleOptions &oracle,
-                     const ReducerOptions &options, ReductionTrace *trace) {
+/// The greedy first-improvement loop every mode shares: applies each
+/// candidate edit of `edits(current)` in turn (then `finalize`, when
+/// given) and keeps the first candidate on which `check` still reports
+/// `failure`'s kind and stage, rescanning from the kept program until no
+/// edit is kept or the attempt budget is spent.
+template <typename P>
+P reduceGreedy(const P &program, const OracleResult &failure,
+               const OracleOptions &oracle, const ReducerOptions &options,
+               ReductionTrace *trace,
+               std::vector<Edit<P>> (*edits)(const P &),
+               OracleResult (*check)(const P &, const OracleOptions &),
+               void (*finalize)(P &) = nullptr) {
   ReductionTrace local;
   ReductionTrace &t = trace ? *trace : local;
   t.initialSize = program.size();
-  Program current = program;
+  P current = program;
   bool improved = true;
   while (improved && t.attempts < options.maxAttempts) {
     improved = false;
-    for (const Edit &edit : kernelEdits(current)) {
+    for (const auto &edit : edits(current)) {
       if (t.attempts >= options.maxAttempts)
         break;
-      Program candidate = current;
+      P candidate = current;
       edit(candidate);
-      candidate.finalizeShapes();
+      if (finalize)
+        finalize(candidate);
       ++t.attempts;
-      if (checkKernel(candidate, oracle).sameFailure(failure)) {
+      if (check(candidate, oracle).sameFailure(failure)) {
         current = std::move(candidate);
         ++t.accepted;
         improved = true;
@@ -458,32 +463,21 @@ Program reduceKernel(const Program &program, const OracleResult &failure,
   return current;
 }
 
+} // namespace
+
+Program reduceKernel(const Program &program, const OracleResult &failure,
+                     const OracleOptions &oracle,
+                     const ReducerOptions &options, ReductionTrace *trace) {
+  return reduceGreedy<Program>(program, failure, oracle, options, trace,
+                               kernelEdits, checkKernel,
+                               [](Program &p) { p.finalizeShapes(); });
+}
+
 IrProgram reduceIr(const IrProgram &program, const OracleResult &failure,
                    const OracleOptions &oracle,
                    const ReducerOptions &options, ReductionTrace *trace) {
-  ReductionTrace local;
-  ReductionTrace &t = trace ? *trace : local;
-  t.initialSize = program.size();
-  IrProgram current = program;
-  bool improved = true;
-  while (improved && t.attempts < options.maxAttempts) {
-    improved = false;
-    for (const IrEdit &edit : irEdits(current)) {
-      if (t.attempts >= options.maxAttempts)
-        break;
-      IrProgram candidate = current;
-      edit(candidate);
-      ++t.attempts;
-      if (checkIr(candidate, oracle).sameFailure(failure)) {
-        current = std::move(candidate);
-        ++t.accepted;
-        improved = true;
-        break;
-      }
-    }
-  }
-  t.finalSize = current.size();
-  return current;
+  return reduceGreedy<IrProgram>(program, failure, oracle, options, trace,
+                                 irEdits, checkIr);
 }
 
 CallProgram reduceCalls(const CallProgram &program,
@@ -491,29 +485,8 @@ CallProgram reduceCalls(const CallProgram &program,
                         const OracleOptions &oracle,
                         const ReducerOptions &options,
                         ReductionTrace *trace) {
-  ReductionTrace local;
-  ReductionTrace &t = trace ? *trace : local;
-  t.initialSize = program.size();
-  CallProgram current = program;
-  bool improved = true;
-  while (improved && t.attempts < options.maxAttempts) {
-    improved = false;
-    for (const CallEdit &edit : callEdits(current)) {
-      if (t.attempts >= options.maxAttempts)
-        break;
-      CallProgram candidate = current;
-      edit(candidate);
-      ++t.attempts;
-      if (checkCalls(candidate, oracle).sameFailure(failure)) {
-        current = std::move(candidate);
-        ++t.accepted;
-        improved = true;
-        break;
-      }
-    }
-  }
-  t.finalSize = current.size();
-  return current;
+  return reduceGreedy<CallProgram>(program, failure, oracle, options, trace,
+                                   callEdits, checkCalls);
 }
 
 } // namespace mha::fuzz

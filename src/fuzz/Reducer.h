@@ -7,6 +7,8 @@
 // which the oracle still reports the SAME failure (kind + stage). Greedy
 // first-improvement with a bounded attempt budget: candidate evaluation
 // dominates cost, so the loop restarts its scan after every accepted edit.
+// The three modes differ only in their edits and their oracle; one loop
+// reduces them all.
 #pragma once
 
 #include "fuzz/Oracle.h"

@@ -205,4 +205,15 @@ private:
   MDMap md_;
 };
 
+/// Walks back through GEPs and bitcasts to the pointer a memory access
+/// addresses (an argument, an alloca or a global).
+inline const Value *pointerRoot(const Value *ptr) {
+  while (const auto *inst = dyn_cast<Instruction>(ptr)) {
+    if (inst->opcode() != Opcode::GEP && inst->opcode() != Opcode::Bitcast)
+      break;
+    ptr = inst->operand(0);
+  }
+  return ptr;
+}
+
 } // namespace mha::lir

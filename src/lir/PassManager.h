@@ -17,7 +17,6 @@
 
 #include "support/Diagnostics.h"
 
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -53,22 +52,6 @@ public:
 
   /// Serial default: runOnFunction over every function in order.
   bool run(Module &module, PassStats &stats, DiagnosticEngine &diags) override;
-};
-
-/// Wraps a free function as a pass.
-class LambdaPass : public ModulePass {
-public:
-  using Fn = std::function<bool(Module &, PassStats &, DiagnosticEngine &)>;
-  LambdaPass(std::string name, Fn fn)
-      : name_(std::move(name)), fn_(std::move(fn)) {}
-  std::string name() const override { return name_; }
-  bool run(Module &module, PassStats &stats, DiagnosticEngine &diags) override {
-    return fn_(module, stats, diags);
-  }
-
-private:
-  std::string name_;
-  Fn fn_;
 };
 
 struct PassRunRecord {
@@ -123,10 +106,6 @@ public:
 
   void add(std::unique_ptr<ModulePass> pass) {
     passes_.push_back(std::move(pass));
-  }
-  void add(std::string name, LambdaPass::Fn fn) {
-    passes_.push_back(
-        std::make_unique<LambdaPass>(std::move(name), std::move(fn)));
   }
 
   /// Registers an observation hook (not owned; must outlive run()).

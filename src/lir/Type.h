@@ -143,4 +143,18 @@ private:
   std::vector<Type *> params_;
 };
 
+/// The array dimensions of an array type or of a typed pointer to one,
+/// outermost first (empty for anything else).
+inline std::vector<int64_t> arrayDims(const Type *type) {
+  std::vector<int64_t> dims;
+  if (const auto *pt = dyn_cast<PointerType>(type))
+    type = pt->pointee();
+  while (type && type->isArray()) {
+    const auto *at = cast<ArrayType>(type);
+    dims.push_back(static_cast<int64_t>(at->numElements()));
+    type = at->element();
+  }
+  return dims;
+}
+
 } // namespace mha::lir

@@ -79,23 +79,6 @@ LinearSubscript linearizeInIV(const Value *v, const Value *iv) {
   return out;
 }
 
-namespace {
-
-/// Walks back through GEPs/bitcasts to the root pointer.
-const Value *pointerRoot(const Value *ptr) {
-  while (true) {
-    const auto *inst = dyn_cast<Instruction>(ptr);
-    if (!inst)
-      return ptr;
-    if (inst->opcode() == Opcode::GEP || inst->opcode() == Opcode::Bitcast)
-      ptr = inst->operand(0);
-    else
-      return ptr;
-  }
-}
-
-} // namespace
-
 std::vector<MemAccess> collectLoopAccesses(const CanonicalLoop &loop) {
   std::vector<MemAccess> out;
   const Value *iv = loop.indVar;

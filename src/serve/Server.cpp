@@ -6,6 +6,7 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -107,6 +108,9 @@ struct Server::Conn {
   bool alive = true;
   /// Admitted requests from this connection (guarded by Server::mutex_).
   std::vector<std::shared_ptr<Pending>> active;
+  /// Set by the reader as its last step (guarded by Server::mutex_): the
+  /// accept loop may join the reader and drop the connection.
+  bool finished = false;
 
   ~Conn() {
     if (fd >= 0)
@@ -280,9 +284,22 @@ void Server::acceptLoop() {
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     ++connectionsCounter();
-    std::lock_guard<std::mutex> lock(mutex_);
-    conns_.push_back(conn);
-    readers_.emplace_back([this, conn] { readerLoop(conn); });
+    // Take the readers whose client has gone out of the set, and join them
+    // outside the lock (each has nothing left to do but return).
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto done = std::partition(
+          readers_.begin(), readers_.end(),
+          [](const Reader &reader) { return !reader.conn->finished; });
+      for (auto it = done; it != readers_.end(); ++it)
+        finished.push_back(std::move(it->thread));
+      readers_.erase(done, readers_.end());
+      readers_.push_back(
+          {conn, std::thread([this, conn] { readerLoop(conn); })});
+    }
+    for (std::thread &reader : finished)
+      reader.join();
   }
   shuttingDown_.store(true);
   drainAndJoin();
@@ -326,6 +343,7 @@ void Server::readerLoop(std::shared_ptr<Conn> conn) {
   for (const std::shared_ptr<Pending> &pending : conn->active)
     if (!pending->done)
       pending->cancel.store(true);
+  conn->finished = true;
 }
 
 void Server::handleLine(const std::shared_ptr<Conn> &conn,
@@ -474,8 +492,8 @@ void Server::drainAndJoin() {
       elog::warn("serve", "drain deadline passed, cancelling outstanding",
                  {{"outstanding", strfmt("%lld", static_cast<long long>(
                                                      outstanding_))}});
-      for (const std::shared_ptr<Conn> &conn : conns_)
-        for (const std::shared_ptr<Pending> &pending : conn->active)
+      for (const Reader &reader : readers_)
+        for (const std::shared_ptr<Pending> &pending : reader.conn->active)
           if (!pending->done)
             pending->cancel.store(true);
       drained_.wait(lock, [this] { return outstanding_ == 0; });
@@ -483,20 +501,18 @@ void Server::drainAndJoin() {
   }
 
   // Unblock and join every connection reader.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> readers;
+  std::vector<Reader> readers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    conns.swap(conns_);
     readers.swap(readers_);
   }
-  for (const std::shared_ptr<Conn> &conn : conns) {
-    std::lock_guard<std::mutex> lock(conn->writeMutex);
-    conn->alive = false;
-    ::shutdown(conn->fd, SHUT_RDWR);
+  for (const Reader &reader : readers) {
+    std::lock_guard<std::mutex> lock(reader.conn->writeMutex);
+    reader.conn->alive = false;
+    ::shutdown(reader.conn->fd, SHUT_RDWR);
   }
-  for (std::thread &reader : readers)
-    reader.join();
+  for (Reader &reader : readers)
+    reader.thread.join();
 
   pool_->wait();
   pool_.reset();

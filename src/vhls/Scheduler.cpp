@@ -50,29 +50,6 @@ struct ArrayInfo {
   std::vector<int64_t> dims;
 };
 
-const lir::Value *pointerRootOf(const lir::Value *ptr) {
-  while (const auto *inst = dyn_cast<Instruction>(ptr)) {
-    if (inst->opcode() == Opcode::GEP || inst->opcode() == Opcode::Bitcast)
-      ptr = inst->operand(0);
-    else
-      break;
-  }
-  return ptr;
-}
-
-/// Extracts array dims from a pointer-to-array / array type.
-std::vector<int64_t> arrayDims(const lir::Type *type) {
-  std::vector<int64_t> dims;
-  if (const auto *pt = dyn_cast<lir::PointerType>(type))
-    type = pt->isOpaque() ? nullptr : pt->pointee();
-  while (type && type->isArray()) {
-    const auto *at = cast<lir::ArrayType>(type);
-    dims.push_back(static_cast<int64_t>(at->numElements()));
-    type = at->element();
-  }
-  return dims;
-}
-
 /// Edges grouped by one end node in compressed rows: node p's edges are
 /// edges[begin[p] .. begin[p + 1]).
 template <typename Edge> struct EdgeRows {
@@ -297,7 +274,7 @@ private:
     };
 
     for (const auto &arg : fn_.args()) {
-      std::vector<int64_t> dims = arrayDims(arg->type());
+      std::vector<int64_t> dims = lir::arrayDims(arg->type());
       if (dims.empty())
         continue;
       lir::Type *elem = arg->type();
@@ -409,7 +386,7 @@ private:
           fuClasses_[cost.fuClass].perUnit = info.perUnit;
         bool isStore = inst->opcode() == Opcode::Store;
         if (isStore || inst->opcode() == Opcode::Load) {
-          cost.base = baseId(pointerRootOf(inst->operand(isStore ? 1 : 0)));
+          cost.base = baseId(lir::pointerRoot(inst->operand(isStore ? 1 : 0)));
           if (static_cast<size_t>(cost.base) < arrayOfBase_.size())
             cost.array = arrayOfBase_[cost.base];
         }

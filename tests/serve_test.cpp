@@ -633,6 +633,47 @@ TEST(ServeServer, StatsAreTheServeCounterDeltas) {
   EXPECT_EQ(stats.completedError, 1);
 }
 
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+int64_t vmSizeKiB() {
+  std::FILE *f = std::fopen("/proc/self/status", "r");
+  if (!f)
+    return -1;
+  char line[256];
+  long long kib = -1;
+  while (std::fgets(line, sizeof(line), f))
+    if (std::sscanf(line, "VmSize: %lld kB", &kib) == 1)
+      break;
+  std::fclose(f);
+  return kib;
+}
+
+TEST(ServeServer, FinishedConnectionsAreJoinedAndDropped) {
+  // Each connection gets a reader thread with its own stack mapping (8 MiB
+  // by default). A daemon that joined its readers only at shutdown grew by
+  // one stack per connection it had ever accepted: 512 MiB here. Joined
+  // stacks are reused; the bound leaves room for a new malloc arena
+  // (64 MiB reserved) that a reader overlapping its predecessor may open.
+  std::string socket = testSocketPath();
+  Server server(testOptions(socket));
+  ASSERT_TRUE(server.start());
+  auto pingOnce = [&] {
+    Client client;
+    ASSERT_TRUE(client.connect(socket));
+    ASSERT_TRUE(client.ping());
+  };
+  for (int i = 0; i < 8; ++i)
+    pingOnce();
+  int64_t before = vmSizeKiB();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 64; ++i)
+    pingOnce();
+  int64_t grownKiB = vmSizeKiB() - before;
+  server.stop();
+  EXPECT_LT(grownKiB, 96 << 10)
+      << "64 closed connections grew VmSize by " << grownKiB << " KiB";
+  EXPECT_EQ(server.stats().connections, 72);
+}
+
 TEST(ServeClient, NonIntegralDoneFieldIsAMalformedReply) {
   // A fake daemon answers each request with one `done` line; only an
   // integral queue_us reads as a reply.

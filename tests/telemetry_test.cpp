@@ -424,28 +424,7 @@ TEST(PassInstrumentation, DisabledTimePassesRecordsNothing) {
   EXPECT_EQ(metrics::passTimesTable(), "");
 }
 
-namespace {
-
-/// Records mir hook order, mirroring RecordingInstr.
-struct MirRecordingInstr : mir::MPassInstrumentation {
-  MirRecordingInstr(std::string tag, std::vector<std::string> &log)
-      : tag(std::move(tag)), log(log) {}
-  void beforePass(const mir::MPass &pass, mir::ModuleOp) override {
-    log.push_back(tag + ":before:" + pass.name());
-  }
-  void afterPass(const mir::MPass &pass, mir::ModuleOp,
-                 const mir::MPassRecord &record) override {
-    lastRecord = record;
-    log.push_back(tag + ":after:" + pass.name());
-  }
-  std::string tag;
-  std::vector<std::string> &log;
-  mir::MPassRecord lastRecord;
-};
-
-} // namespace
-
-TEST(MirPassInstrumentation, HookOrderAndPassDuration) {
+TEST(MirPassTiming, PassDurationFeedsHistogram) {
   TracerGuard guard(/*enable=*/false, /*enableMetrics=*/true);
   mir::MContext ctx;
   mir::OpBuilder builder(ctx);
@@ -455,20 +434,10 @@ TEST(MirPassInstrumentation, HookOrderAndPassDuration) {
   builder.setInsertPoint(fn.entryBlock());
   builder.createReturn();
 
-  std::vector<std::string> log;
-  MirRecordingInstr a("A", log), b("B", log);
   mir::MPassManager pm;
-  pm.addInstrumentation(&a);
-  pm.addInstrumentation(&b);
   pm.add(mir::createCanonicalizePass());
   DiagnosticEngine diags;
   ASSERT_TRUE(pm.run(module.get(), diags)) << diags.str();
-
-  std::vector<std::string> expected = {
-      "A:before:mir-canonicalize", "B:before:mir-canonicalize",
-      "B:after:mir-canonicalize", "A:after:mir-canonicalize"};
-  EXPECT_EQ(log, expected);
-  EXPECT_EQ(a.lastRecord.passName, "mir-canonicalize");
 
   // The mir pipeline feeds the same pass-duration histogram.
   EXPECT_EQ(passTotals("mir", "mir-canonicalize").runs, 1);
