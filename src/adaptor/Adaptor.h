@@ -21,8 +21,9 @@
 //   7. hls-compat-verify              — final acceptance check against the
 //      shared lir::checkHlsCompatibility contract.
 //
-// Standard scalar cleanups (instcombine/dce/simplifycfg) run between
-// stages, as the paper's flow does inside opt.
+// Call legalization (rec2iter, inlining, call-site privatization) runs
+// first, and standard scalar cleanups (instcombine/dce/simplifycfg) run
+// between stages, as the paper's flow does inside opt.
 #pragma once
 
 #include "lir/PassManager.h"
@@ -31,16 +32,13 @@
 
 namespace mha::adaptor {
 
+/// Default explicit-stack depth for rewritten self-recursion (a
+/// `mha.rec_depth=N` function attribute overrides it per function).
+inline constexpr unsigned kRecursionDepth = 64;
+
 struct AdaptorOptions {
-  /// Call legalization (multi-function input): rec2iter, then the
-  /// bottom-up inliner, then call-site privatization — before any of the
-  /// single-function stages below.
-  bool runCallLegalization = true;
   /// Inliner size budget (instructions); callees above it stay calls.
   unsigned inlineBudget = 256;
-  /// Default explicit-stack depth for rewritten self-recursion (a
-  /// `mha.rec_depth=N` function attribute overrides it per function).
-  unsigned recursionDepth = 64;
   /// Function the inliner must keep even when fully inlined away (the
   /// flow's synthesis top); empty keeps every never-called function only.
   std::string topFunction;
@@ -54,8 +52,6 @@ struct AdaptorOptions {
   bool runAttributeScrub = true;
   /// Run the final acceptance verification (diagnoses, never mutates).
   bool verifyCompat = true;
-  /// Run scalar cleanups between stages.
-  bool runCleanups = true;
 };
 
 /// Individual pass factories (composable for tests/ablation).
@@ -69,6 +65,14 @@ std::unique_ptr<lir::ModulePass> createHlsCompatVerifyPass();
 
 /// Populates `pm` with the full adaptor pipeline per `options`.
 void buildAdaptorPipeline(lir::PassManager &pm, const AdaptorOptions &options);
+
+/// The pipeline's first stage, call legalization for multi-function
+/// input: rec2iter (kRecursionDepth), the bottom-up inliner (budget
+/// options.inlineBudget, keeping options.topFunction), call-site
+/// privatization, then dce and simplifycfg. buildAdaptorPipeline starts
+/// with it, and the fuzz oracle's calls mode checks exactly these passes.
+void buildCallLegalizationPipeline(lir::PassManager &pm,
+                                   const AdaptorOptions &options);
 
 /// Directive metadata keys in the HLS frontend's dialect (xlx.*).
 namespace xlx {

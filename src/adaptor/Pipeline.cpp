@@ -30,38 +30,35 @@ std::unique_ptr<lir::ModulePass> createHlsCompatVerifyPass() {
   return std::make_unique<HlsCompatVerify>();
 }
 
+void buildCallLegalizationPipeline(lir::PassManager &pm,
+                                   const AdaptorOptions &options) {
+  pm.add(lir::createRec2IterPass(kRecursionDepth));
+  lir::InlinerOptions io;
+  io.sizeBudget = options.inlineBudget;
+  io.preservedFunction = options.topFunction;
+  pm.add(lir::createInlinerPass(io));
+  pm.add(lir::createCallSitePrivatizationPass());
+  pm.add(lir::createDCEPass());
+  pm.add(lir::createSimplifyCFGPass());
+}
+
 void buildAdaptorPipeline(lir::PassManager &pm,
                           const AdaptorOptions &options) {
-  if (options.runCallLegalization) {
-    pm.add(lir::createRec2IterPass(options.recursionDepth));
-    lir::InlinerOptions io;
-    io.sizeBudget = options.inlineBudget;
-    io.preservedFunction = options.topFunction;
-    pm.add(lir::createInlinerPass(io));
-    pm.add(lir::createCallSitePrivatizationPass());
-    if (options.runCleanups) {
-      pm.add(lir::createDCEPass());
-      pm.add(lir::createSimplifyCFGPass());
-    }
-  }
+  buildCallLegalizationPipeline(pm, options);
   if (options.runDescriptorElimination)
     pm.add(createDescriptorEliminationPass());
   if (options.runIntrinsicLegalize)
     pm.add(createIntrinsicLegalizePass());
-  if (options.runCleanups) {
-    pm.add(lir::createInstCombinePass());
-    pm.add(lir::createDCEPass());
-  }
+  pm.add(lir::createInstCombinePass());
+  pm.add(lir::createDCEPass());
   if (options.runGepCanonicalize)
     pm.add(createGepCanonicalizePass());
-  if (options.runCleanups) {
-    pm.add(lir::createInstCombinePass());
-    pm.add(lir::createCSEPass());
-    pm.add(lir::createDCEPass());
-    pm.add(lir::createSimplifyCFGPass());
-    pm.add(lir::createLICMPass());
-    pm.add(lir::createDCEPass());
-  }
+  pm.add(lir::createInstCombinePass());
+  pm.add(lir::createCSEPass());
+  pm.add(lir::createDCEPass());
+  pm.add(lir::createSimplifyCFGPass());
+  pm.add(lir::createLICMPass());
+  pm.add(lir::createDCEPass());
   if (options.runPointerTypeRecovery)
     pm.add(createPointerTypeRecoveryPass());
   if (options.runMetadataConvert)

@@ -5,6 +5,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace mha::dse {
 
@@ -57,40 +58,39 @@ KernelShape inspectKernel(const flow::KernelSpec &spec) {
 } // namespace
 
 std::string configKey(const flow::KernelConfig &config) {
-  return strfmt("ii=%lld|unroll=%lld|part=%lld|df=%d|dir=%d",
-                static_cast<long long>(config.pipelineII),
-                static_cast<long long>(config.unrollFactor),
-                static_cast<long long>(config.partitionFactor),
-                config.dataflow ? 1 : 0, config.applyDirectives ? 1 : 0);
+  // Formatted on the stack so the key is one exact-size allocation: the
+  // QoR cache, the archive and every search hold many of them.
+  char buffer[160];
+  int length = 0;
+  for (const flow::Knob &knob : flow::kKnobs)
+    length += std::snprintf(buffer + length, sizeof(buffer) - length,
+                            "%s%s=%lld", length ? "|" : "", knob.tag,
+                            static_cast<long long>(knob.get(config)));
+  return std::string(buffer, length);
 }
 
 std::optional<flow::KernelConfig> parseConfigKey(std::string_view key) {
-  // "ii=I|unroll=U|part=P|df=D|dir=A", all fields required, in order.
-  const std::string_view names[] = {"ii=", "unroll=", "part=", "df=", "dir="};
-  int64_t values[5];
-  for (size_t i = 0; i < 5; ++i) {
-    if (key.substr(0, names[i].size()) != names[i])
+  // Every knob's "tag=value", in table order, joined by '|'.
+  flow::KernelConfig config;
+  for (const flow::Knob &knob : flow::kKnobs) {
+    if (&knob != flow::kKnobs) {
+      if (key.substr(0, 1) != "|")
+        return std::nullopt;
+      key.remove_prefix(1);
+    }
+    std::string_view tag = knob.tag;
+    if (key.substr(0, tag.size()) != tag ||
+        key.substr(tag.size(), 1) != "=")
       return std::nullopt;
-    key.remove_prefix(names[i].size());
-    size_t end = i + 1 < 5 ? key.find('|') : key.size();
-    if (end == std::string_view::npos)
+    key.remove_prefix(tag.size() + 1);
+    std::optional<int64_t> value = parseInt(key.substr(0, key.find('|')));
+    if (!value || (knob.isBool() && *value != 0 && *value != 1))
       return std::nullopt;
-    std::optional<int64_t> value = parseInt(key.substr(0, end));
-    if (!value)
-      return std::nullopt;
-    values[i] = *value;
-    key.remove_prefix(i + 1 < 5 ? end + 1 : end);
+    knob.set(config, *value);
+    key.remove_prefix(std::min(key.size(), key.find('|')));
   }
   if (!key.empty())
     return std::nullopt;
-  if ((values[3] != 0 && values[3] != 1) || (values[4] != 0 && values[4] != 1))
-    return std::nullopt;
-  flow::KernelConfig config;
-  config.pipelineII = values[0];
-  config.unrollFactor = values[1];
-  config.partitionFactor = values[2];
-  config.dataflow = values[3] != 0;
-  config.applyDirectives = values[4] != 0;
   return config;
 }
 

@@ -36,17 +36,17 @@ void visitBatch(Evaluator &evaluator, ParetoArchive &archive,
 
 /// The refine promotion rule: a candidate is pruned only when some
 /// estimated-frontier entry (other than itself) dominates it AND beats
-/// its latency by more than `slack`. Checking frontier entries alone is
+/// its latency by more than kRefineSlack. Checking frontier entries alone is
 /// sufficient — domination is transitive, so any dominating point is
 /// itself dominated by a frontier entry at least as good.
 bool slackPruned(const ParetoArchive &estArchive, const std::string &key,
-                 const QoR &est, double slack) {
+                 const QoR &est) {
   for (const ArchiveEntry &q : estArchive.entries()) {
     if (q.key == key)
       continue;
     if (estArchive.dominates(q.qor, est) &&
         double(q.qor.latencyCycles) <=
-            double(est.latencyCycles) * (1.0 - slack))
+            double(est.latencyCycles) * (1.0 - kRefineSlack))
       return true;
   }
   return false;
@@ -198,8 +198,7 @@ public:
     // first so a tight budget still synthesizes the promising end.
     std::vector<size_t> keep;
     for (size_t i = 0; i < points.size(); ++i)
-      if (!slackPruned(estArchive, configKey(points[i]), estimates[i],
-                       options.refineSlack))
+      if (!slackPruned(estArchive, configKey(points[i]), estimates[i]))
         keep.push_back(i);
     std::stable_sort(keep.begin(), keep.end(), [&](size_t a, size_t b) {
       if (estimates[a].latencyCycles != estimates[b].latencyCycles)

@@ -22,7 +22,7 @@
 //  * refine    — estimates the whole space, then synthesizes every point
 //                the slack rule keeps: a point is skipped only when some
 //                estimated-frontier point dominates it *and* improves
-//                latency by more than `refineSlack`, so estimator error
+//                latency by more than `kRefineSlack`, so estimator error
 //                up to the slack cannot drop a true-frontier point;
 //  * genetic   — seeded tournament selection + knob crossover/mutation,
 //                generations scored entirely on estimates; the final
@@ -46,6 +46,12 @@
 
 namespace mha::dse {
 
+/// Latency slack for refine's promotion rule: an estimated-frontier point
+/// prunes a candidate only when it dominates it and improves latency by
+/// more than this fraction. Calibrated to ~3x the measured worst-case
+/// estimator latency error.
+inline constexpr double kRefineSlack = 0.15;
+
 struct StrategyOptions {
   /// Maximum number of evaluator requests (0 = unlimited). Cached points
   /// count — the budget bounds the search effort deterministically, not
@@ -57,11 +63,6 @@ struct StrategyOptions {
   /// (0 = unlimited). Estimates are not evaluator requests and never
   /// count against `budget`.
   size_t estimateBudget = 0;
-  /// Latency slack for refine's promotion rule: an estimated-frontier
-  /// point prunes a candidate only when it dominates it and improves
-  /// latency by more than this fraction. Calibrated to ~3x the measured
-  /// worst-case estimator latency error.
-  double refineSlack = 0.15;
   /// Genetic-strategy knobs.
   size_t populationSize = 16;
   size_t generations = 8;

@@ -78,10 +78,13 @@ vhls::SynthesisOptions synthOptions(const FlowState &s) {
   return so;
 }
 
+// Retired options keep their slots in the keys below, hashed at the
+// value the code now always uses, so every stage key stays what it was.
+
 void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
-  hb.boolean(ao.runCallLegalization)
+  hb.boolean(true) // call legalization always runs
       .i64(ao.inlineBudget)
-      .i64(ao.recursionDepth)
+      .i64(adaptor::kRecursionDepth)
       .str(ao.topFunction)
       .boolean(ao.runDescriptorElimination)
       .boolean(ao.runIntrinsicLegalize)
@@ -90,8 +93,8 @@ void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
       .boolean(ao.runMetadataConvert)
       .boolean(ao.runAttributeScrub)
       .boolean(ao.verifyCompat)
-      .boolean(ao.runCleanups)
-      .boolean(false); // retired pass-fusion flag: keeps stage keys stable
+      .boolean(true)   // scalar cleanups always run
+      .boolean(false); // retired pass-fusion flag
 }
 
 /// Kernel identity + directives + MLIR-level options. The kernel name
@@ -99,12 +102,14 @@ void hashAdaptorOptions(HashBuilder &hb, const adaptor::AdaptorOptions &ao) {
 uint64_t mlirKey(const FlowState &s) {
   HashBuilder hb;
   hb.str("mlir").str(s.spec->name);
-  hb.i64(s.config.pipelineII)
-      .i64(s.config.unrollFactor)
-      .i64(s.config.partitionFactor)
-      .boolean(s.config.dataflow)
-      .boolean(s.config.applyDirectives);
-  hb.boolean(s.options.runMlirOpts).boolean(s.options.unrollAtMlirLevel);
+  for (const Knob &knob : kKnobs) {
+    if (knob.isBool())
+      hb.boolean(s.config.*knob.boolField);
+    else
+      hb.i64(s.config.*knob.intField);
+  }
+  hb.boolean(true) // MLIR canonicalization always runs
+      .boolean(s.options.unrollAtMlirLevel);
   return hb.get();
 }
 
@@ -113,11 +118,9 @@ uint64_t mlirKey(const FlowState &s) {
 uint64_t adaptorBridgeKey(const FlowState &s) {
   HashBuilder hb;
   hb.str("bridge-adaptor").str(s.mirText);
-  const lowering::LoweringOptions &lo = s.options.lowering;
-  hb.boolean(lo.useOpaquePointers)
-      .boolean(lo.fuseMulAdd)
-      .boolean(lo.useMemcpyIntrinsic)
-      .boolean(lo.emitModernAttributes);
+  // The lowering's one convention: opaque pointers, fmuladd fusion,
+  // llvm.memcpy and modern function attributes.
+  hb.boolean(true).boolean(true).boolean(true).boolean(true);
   hashAdaptorOptions(hb, adaptorOptions(s));
   return hb.get();
 }
@@ -149,7 +152,7 @@ uint64_t synthKey(const FlowState &s) {
       .i64(t.lutPerState)
       .i64(t.ffPerState);
   hb.str(options.topFunction)
-      .boolean(options.applyUnrollDirectives)
+      .boolean(true) // backend unrolling always runs
       .boolean(options.strictAcceptance);
   return hb.get();
 }
@@ -182,8 +185,7 @@ bool runMlir(FlowState &s) {
   if (!mir::verifyModule(module.get(), s.diags))
     return false;
   mir::MPassManager pm;
-  if (s.options.runMlirOpts)
-    pm.add(mir::createCanonicalizePass());
+  pm.add(mir::createCanonicalizePass());
   if (s.options.unrollAtMlirLevel) {
     // Cross-layer: consume hls.unroll here instead of in the backend.
     module.get().op->walk([&](mir::Operation *op) {
@@ -196,8 +198,7 @@ bool runMlir(FlowState &s) {
       }
     });
     pm.add(mir::createAffineUnrollPass());
-    if (s.options.runMlirOpts)
-      pm.add(mir::createCanonicalizePass());
+    pm.add(mir::createCanonicalizePass());
   }
   if (!pm.run(module.get(), s.diags))
     return false;

@@ -106,9 +106,8 @@ private:
 struct FlowOptions {
   vhls::SynthesisOptions synthesis;
   adaptor::AdaptorOptions adaptor;
+  /// Empty: the lowering has no settings (see lowering::LoweringOptions).
   lowering::LoweringOptions lowering;
-  /// Run MLIR-level canonicalization before branching into a flow.
-  bool runMlirOpts = true;
   /// Cross-layer choice: honour hls.unroll directives by unrolling at the
   /// *MLIR* level (before either bridge) instead of letting the HLS
   /// backend unroll. The adaptor flow then carries pre-unrolled IR; the

@@ -30,6 +30,50 @@ struct KernelConfig {
   bool applyDirectives = true;
 };
 
+/// Largest value an integer design knob accepts (2^20).
+inline constexpr int64_t kMaxKnobValue = int64_t(1) << 20;
+
+/// One design knob of KernelConfig: an integer field with its accepted
+/// range, or a boolean field.
+struct Knob {
+  const char *name; // wire name and tool flag: ii, unroll, partition, ...
+  const char *tag;  // its tag in dse::configKey: ii, unroll, part, ...
+  int64_t KernelConfig::*intField = nullptr;
+  bool KernelConfig::*boolField = nullptr;
+  int64_t min = 0, max = 0; // accepted range of an integer knob
+
+  bool isBool() const { return boolField != nullptr; }
+  /// The knob's value in `config` (a boolean as 0/1).
+  int64_t get(const KernelConfig &config) const {
+    return isBool() ? int64_t(config.*boolField) : config.*intField;
+  }
+  void set(KernelConfig &config, int64_t value) const {
+    if (isBool())
+      config.*boolField = value != 0;
+    else
+      config.*intField = value;
+  }
+  /// The value as a JSON literal: a number, or true/false.
+  std::string text(const KernelConfig &config) const {
+    if (isBool())
+      return config.*boolField ? "true" : "false";
+    return std::to_string(config.*intField);
+  }
+};
+
+/// The five design knobs, declared once. The stage-cache key, the DSE
+/// config key and its parser, the serve protocol and the tools' flags
+/// all iterate this table in this order.
+inline constexpr Knob kKnobs[] = {
+    {"ii", "ii", &KernelConfig::pipelineII, nullptr, 0, kMaxKnobValue},
+    {"unroll", "unroll", &KernelConfig::unrollFactor, nullptr, 1,
+     kMaxKnobValue},
+    {"partition", "part", &KernelConfig::partitionFactor, nullptr, 1,
+     kMaxKnobValue},
+    {"dataflow", "df", nullptr, &KernelConfig::dataflow},
+    {"directives", "dir", nullptr, &KernelConfig::applyDirectives},
+};
+
 /// Host-side buffers for co-simulation: one flat double vector per memref
 /// argument, in argument order.
 using Buffers = std::vector<std::vector<double>>;

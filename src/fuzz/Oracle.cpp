@@ -112,7 +112,38 @@ std::optional<OracleResult> checkSynthesis(lir::Module &module,
               "synthesis rejected: " + diags.str());
 }
 
+/// Rewrites the first instruction matching `match` from a+b to a+a.
+template <typename Match> void plantFirst(lir::Module &module, Match match) {
+  for (lir::Function *fn : module.functions())
+    for (auto &block : *fn)
+      for (auto &inst : *block)
+        if (match(*inst)) {
+          inst->setOperand(1, inst->operand(0));
+          return;
+        }
+}
+
 } // namespace
+
+void plantFAddMiscompile(lir::Module &module) {
+  plantFirst(module, [](const lir::Instruction &inst) {
+    return inst.opcode() == lir::Opcode::FAdd;
+  });
+}
+
+void plantAddMiscompile(lir::Module &module) {
+  plantFirst(module, [](const lir::Instruction &inst) {
+    return inst.opcode() == lir::Opcode::Add &&
+           inst.operand(0) != inst.operand(1);
+  });
+}
+
+void plantMiscompile(lir::Module &module) {
+  if (module.getFunction("fuzz_ir") || module.getFunction("fuzz_calls"))
+    plantAddMiscompile(module);
+  else
+    plantFAddMiscompile(module);
+}
 
 OracleResult checkKernel(const Program &program,
                          const OracleOptions &options) {
@@ -249,6 +280,8 @@ OracleResult checkIr(const IrProgram &program, const OracleOptions &options) {
     pm.add(lir::createDCEPass());
     if (!pm.run(*module, diags))
       return fail(FailureKind::Verifier, "o2-lite", diags.str());
+    if (options.mutateAdaptorModule)
+      options.mutateAdaptorModule(*module);
     if (auto failure = checkArgSets(*module, fn, program.argSets, refs,
                                     "o2-lite", "transformed"))
       return *failure;
@@ -280,17 +313,13 @@ OracleResult checkCalls(const CallProgram &program,
           checkArgSets(*module, fn, program.argSets, refs, "interp", "interp"))
     return *failure;
 
-  // Stage 2: the call-legalization pipeline (exactly the passes the
-  // adaptor flow front-loads) must preserve behavior.
+  // Stage 2: the call-legalization pipeline (the passes the adaptor flow
+  // front-loads, from the adaptor's own list) must preserve behavior.
   {
     lir::PassManager pm(/*verifyEach=*/true);
-    pm.add(lir::createRec2IterPass(64));
-    lir::InlinerOptions io;
-    io.preservedFunction = "fuzz_calls";
-    pm.add(lir::createInlinerPass(io));
-    pm.add(lir::createCallSitePrivatizationPass());
-    pm.add(lir::createDCEPass());
-    pm.add(lir::createSimplifyCFGPass());
+    adaptor::AdaptorOptions legalize;
+    legalize.topFunction = "fuzz_calls";
+    adaptor::buildCallLegalizationPipeline(pm, legalize);
     pm.add(lir::createMem2RegPass());
     pm.add(lir::createInstCombinePass());
     pm.add(lir::createCSEPass());

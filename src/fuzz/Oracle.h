@@ -71,10 +71,24 @@ struct OracleOptions {
   /// synthesis. Only the pure backend leg is cached — the differential
   /// stages must always execute to attribute divergences.
   bool useStageCache = false;
-  /// Test hook: mutate the post-adaptor module before co-simulation (the
-  /// oracle/reducer tests plant a miscompile here and must catch it).
+  /// Test hook: mutate each mode's transformed module before it is
+  /// checked — kernel mode's post-adaptor module, ir mode's post-O2-lite
+  /// module, calls mode's legalized module. The oracle/reducer tests and
+  /// mha-fuzz --plant install a planted miscompile here and must catch it.
   std::function<void(lir::Module &)> mutateAdaptorModule;
 };
+
+/// Planted miscompiles for OracleOptions::mutateAdaptorModule. Each
+/// rewrites one instruction's second operand to its first (a+b -> a+a):
+/// the first fadd, which kernel-mode programs (floating point) carry...
+void plantFAddMiscompile(lir::Module &module);
+/// ...or the first add whose operands differ, for the integer-only ir
+/// and calls programs.
+void plantAddMiscompile(lir::Module &module);
+/// The plant for the module's fuzz mode: plantAddMiscompile on ir and
+/// calls programs (top @fuzz_ir or @fuzz_calls), plantFAddMiscompile on
+/// kernel programs.
+void plantMiscompile(lir::Module &module);
 
 /// Differentially checks a kernel-mode program across all pipeline stages.
 OracleResult checkKernel(const Program &program,

@@ -29,9 +29,9 @@ struct LoweredMemRef {
 class FunctionLowering {
 public:
   FunctionLowering(mir::FuncOp fn, lir::Module &module,
-                   const LoweringOptions &options, DiagnosticEngine &diags)
+                   DiagnosticEngine &diags)
       : fn_(fn), module_(module), ctx_(module.context()), builder_(ctx_),
-        options_(options), diags_(diags) {}
+        diags_(diags) {}
 
   bool run() {
     lir::Function *out = createSignature();
@@ -64,23 +64,16 @@ private:
     }
   }
 
-  lir::Type *ptrTy(lir::Type *pointee) {
-    if (options_.useOpaquePointers)
-      return ctx_.opaquePtrTy();
-    return ctx_.ptrTy(pointee);
-  }
-
   lir::Function *createSignature() {
     mir::FunctionType *fnType = fn_.type();
     std::vector<lir::Type *> params;
     // Per-argument plan so we can bind later.
     for (mir::Type *input : fnType->inputs()) {
       if (auto *mt = dyn_cast<mir::MemRefType>(input)) {
-        lir::Type *elem = lowerType(mt->elementType());
-        if (!elem)
+        if (!lowerType(mt->elementType()))
           return nullptr;
-        params.push_back(ptrTy(elem));           // allocated
-        params.push_back(ptrTy(elem));           // aligned
+        params.push_back(ctx_.opaquePtrTy());    // allocated
+        params.push_back(ctx_.opaquePtrTy());    // aligned
         params.push_back(ctx_.i64());            // offset
         for (unsigned d = 0; d < mt->rank(); ++d)
           params.push_back(ctx_.i64());          // sizes
@@ -96,13 +89,12 @@ private:
     lir::Function *out = module_.createFunction(
         ctx_.fnTy(ctx_.voidTy(), params), fn_.name());
     fnOut_ = out;
-    if (options_.emitModernAttributes) {
-      out->attrs().insert("mustprogress");
-      out->attrs().insert("nofree");
-      out->attrs().insert("nosync");
-      out->attrs().insert("willreturn");
-      out->attrs().insert("memory(argmem: readwrite)");
-    }
+    // Modern-only function attributes, as current LLVM frontends attach.
+    out->attrs().insert("mustprogress");
+    out->attrs().insert("nofree");
+    out->attrs().insert("nosync");
+    out->attrs().insert("willreturn");
+    out->attrs().insert("memory(argmem: readwrite)");
     // Function-level dataflow (task-level pipelining) directive.
     if (fn_.op->attr(mir::hlsattr::Dataflow))
       out->attrs().insert("mha.dataflow");
@@ -285,7 +277,7 @@ private:
 
   bool lowerFloatBinop(mir::Operation *op) {
     // Fuse a*b+c -> llvm.fmuladd(a, b, c) when the mul feeds one add.
-    if (options_.fuseMulAdd && op->is(mir::ops::AddF)) {
+    if (op->is(mir::ops::AddF)) {
       for (unsigned i = 0; i < 2; ++i) {
         mir::Operation *def = op->operand(i)->definingOp();
         if (def && def->is(mir::ops::MulF) &&
@@ -448,46 +440,12 @@ private:
     int64_t elements = 1;
     for (int64_t d : src->shape)
       elements *= d;
-    if (options_.useMemcpyIntrinsic) {
-      lir::Function *memcpyFn = lir::getMemcpyIntrinsic(module_);
-      int64_t bytes = elements * static_cast<int64_t>(
-                                     src->elemTy->sizeInBytes());
-      builder_.createCall(memcpyFn, {dst->alignedPtr, src->alignedPtr,
-                                     ctx_.constI64(bytes)});
-      return true;
-    }
-    // Explicit element-copy loop.
-    emitCopyLoop(*src, *dst, elements);
+    lir::Function *memcpyFn = lir::getMemcpyIntrinsic(module_);
+    int64_t bytes =
+        elements * static_cast<int64_t>(src->elemTy->sizeInBytes());
+    builder_.createCall(memcpyFn, {dst->alignedPtr, src->alignedPtr,
+                                   ctx_.constI64(bytes)});
     return true;
-  }
-
-  void emitCopyLoop(const LoweredMemRef &src, const LoweredMemRef &dst,
-                    int64_t elements) {
-    lir::BasicBlock *pre = builder_.insertBlock();
-    lir::BasicBlock *header = fnOut_->createBlock("copy.header");
-    lir::BasicBlock *body = fnOut_->createBlock("copy.body");
-    lir::BasicBlock *exit = fnOut_->createBlock("copy.exit");
-    (void)pre;
-    builder_.createBr(header);
-    builder_.setInsertPoint(header);
-    lir::Instruction *iv = builder_.createPhi(ctx_.i64(), "copy.iv");
-    lir::Value *cmp =
-        builder_.createICmp(lir::CmpPred::SLT, iv, ctx_.constI64(elements),
-                            "copy.cmp");
-    builder_.createCondBr(cmp, body, exit);
-    builder_.setInsertPoint(body);
-    lir::Value *srcAddr =
-        builder_.createGEP(src.elemTy, src.alignedPtr, {iv}, "copy.src");
-    lir::Value *val = builder_.createLoad(src.elemTy, srcAddr, "copy.val");
-    lir::Value *dstAddr =
-        builder_.createGEP(dst.elemTy, dst.alignedPtr, {iv}, "copy.dst");
-    builder_.createStore(val, dstAddr);
-    lir::Value *ivNext =
-        builder_.createAdd(iv, ctx_.constI64(1), "copy.iv.next");
-    builder_.createBr(header);
-    iv->addIncoming(ctx_.constI64(0), pre);
-    iv->addIncoming(ivNext, body);
-    builder_.setInsertPoint(exit);
   }
 
   bool lowerFor(mir::Operation *op) {
@@ -539,7 +497,6 @@ private:
   lir::Module &module_;
   lir::LContext &ctx_;
   IRBuilder builder_;
-  LoweringOptions options_;
   DiagnosticEngine &diags_;
   lir::Function *fnOut_ = nullptr;
   // Pointer-keyed and lookup-only — never iterate these: iteration order
@@ -554,15 +511,14 @@ private:
 
 std::unique_ptr<lir::Module> lowerToLIR(mir::ModuleOp module,
                                         lir::LContext &ctx,
-                                        const LoweringOptions &options,
+                                        const LoweringOptions &,
                                         DiagnosticEngine &diags) {
-  ctx.emitOpaquePointers = options.useOpaquePointers;
+  ctx.emitOpaquePointers = true;
   auto out = std::make_unique<lir::Module>(ctx, "lowered");
-  out->flags()["opaque-pointers"] =
-      options.useOpaquePointers ? "true" : "false";
+  out->flags()["opaque-pointers"] = "true";
   out->flags()["ir-producer"] = "mlir-lowering";
   for (mir::FuncOp fn : module.funcs()) {
-    FunctionLowering lowering(fn, *out, options, diags);
+    FunctionLowering lowering(fn, *out, diags);
     if (!lowering.run())
       return nullptr;
   }

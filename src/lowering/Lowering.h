@@ -22,17 +22,11 @@
 
 namespace mha::lowering {
 
-struct LoweringOptions {
-  /// Emit opaque pointers (modern LLVM). The adaptor downgrades to typed.
-  bool useOpaquePointers = true;
-  /// Fuse a*b+c into @llvm.fmuladd when the multiply has a single use.
-  bool fuseMulAdd = true;
-  /// Lower memref.copy to @llvm.memcpy (else an explicit loop).
-  bool useMemcpyIntrinsic = true;
-  /// Attach modern-only function attributes (mustprogress, nofree, ...)
-  /// the way current LLVM frontends do.
-  bool emitModernAttributes = true;
-};
+/// The lowering has no settings: it always emits the one convention
+/// listed above, the one the adaptor rewrites. This empty struct remains
+/// only because perfbench's flow replay passes FlowOptions::lowering to
+/// lowerToLIR.
+struct LoweringOptions {};
 
 /// Metadata key marking the first argument of a memref descriptor group:
 /// !mha.memref !{ !"<name>", !"<elemTy>", i64 rank, i64 dim0, ... }.

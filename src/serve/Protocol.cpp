@@ -63,6 +63,14 @@ std::string head(const std::string &id, const char *event) {
                 kResponseSchema, json::escape(id).c_str(), event);
 }
 
+/// The design knob whose wire name is `key`, or null.
+const flow::Knob *findKnob(const std::string &key) {
+  for (const flow::Knob &knob : flow::kKnobs)
+    if (key == knob.name)
+      return &knob;
+  return nullptr;
+}
+
 const char *flowWireName(flow::FlowKind kind) {
   // "hls-c++" is the human name; on the wire the flow field accepts both
   // spellings and we emit the canonical one.
@@ -119,22 +127,13 @@ ParsedRequest parseRequest(const std::string &line) {
     } else if (key == "flow") {
       if (!stringField(value, "flow", flowName, error))
         return fail(errc::BadRequest, error, id);
-    } else if (key == "ii") {
-      if (!intField(value, "ii", 0, 1 << 20, req.config.pipelineII, error))
-        return fail(errc::BadRequest, error, id);
-    } else if (key == "unroll") {
-      if (!intField(value, "unroll", 1, 1 << 20, req.config.unrollFactor,
-                    error))
-        return fail(errc::BadRequest, error, id);
-    } else if (key == "partition") {
-      if (!intField(value, "partition", 1, 1 << 20,
-                    req.config.partitionFactor, error))
-        return fail(errc::BadRequest, error, id);
-    } else if (key == "dataflow") {
-      if (!boolField(value, "dataflow", req.config.dataflow, error))
-        return fail(errc::BadRequest, error, id);
-    } else if (key == "directives") {
-      if (!boolField(value, "directives", req.config.applyDirectives, error))
+    } else if (const flow::Knob *knob = findKnob(key)) {
+      bool ok = knob->isBool()
+                    ? boolField(value, knob->name,
+                                req.config.*knob->boolField, error)
+                    : intField(value, knob->name, knob->min, knob->max,
+                               req.config.*knob->intField, error);
+      if (!ok)
         return fail(errc::BadRequest, error, id);
     } else if (key == "estimate") {
       if (!boolField(value, "estimate", req.estimate, error))
@@ -238,14 +237,9 @@ std::string renderCompileRequest(const std::string &id, const Request &req) {
     line += strfmt(", \"kernel\": \"%s\"", json::escape(req.kernel).c_str());
   }
   line += strfmt(", \"flow\": \"%s\"", flowWireName(req.flowKind));
-  line += strfmt(", \"ii\": %lld, \"unroll\": %lld, \"partition\": %lld",
-                 static_cast<long long>(req.config.pipelineII),
-                 static_cast<long long>(req.config.unrollFactor),
-                 static_cast<long long>(req.config.partitionFactor));
-  line += strfmt(", \"dataflow\": %s, \"directives\": %s, \"estimate\": %s}",
-                 req.config.dataflow ? "true" : "false",
-                 req.config.applyDirectives ? "true" : "false",
-                 req.estimate ? "true" : "false");
+  for (const flow::Knob &knob : flow::kKnobs)
+    line += strfmt(", \"%s\": %s", knob.name, knob.text(req.config).c_str());
+  line += strfmt(", \"estimate\": %s}", req.estimate ? "true" : "false");
   return line;
 }
 

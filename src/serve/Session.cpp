@@ -77,18 +77,9 @@ SessionOutcome runEstimate(const Request &req, const flow::KernelSpec &spec,
 /// "<wire name> = <value>" (nullopt: all defaults).
 std::optional<std::string> nonDefaultKnob(const flow::KernelConfig &config) {
   const flow::KernelConfig defaults;
-  if (config.pipelineII != defaults.pipelineII)
-    return strfmt("ii = %lld", static_cast<long long>(config.pipelineII));
-  if (config.unrollFactor != defaults.unrollFactor)
-    return strfmt("unroll = %lld",
-                  static_cast<long long>(config.unrollFactor));
-  if (config.partitionFactor != defaults.partitionFactor)
-    return strfmt("partition = %lld",
-                  static_cast<long long>(config.partitionFactor));
-  if (config.dataflow != defaults.dataflow)
-    return std::string("dataflow = true");
-  if (config.applyDirectives != defaults.applyDirectives)
-    return std::string("directives = false");
+  for (const flow::Knob &knob : flow::kKnobs)
+    if (knob.get(config) != knob.get(defaults))
+      return strfmt("%s = %s", knob.name, knob.text(config).c_str());
   return std::nullopt;
 }
 

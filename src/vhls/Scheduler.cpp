@@ -1134,7 +1134,7 @@ SynthesisReport synthesize(lir::Module &module,
     visit(fn);
 
   for (Function *fn : order) {
-    if (options.applyUnrollDirectives) {
+    {
       telemetry::Span span("vhls-unroll", "vhls");
       applyUnrollDirectives(*fn);
     }

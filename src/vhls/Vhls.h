@@ -20,9 +20,6 @@ struct SynthesisOptions {
   TargetSpec target;
   /// Top function name (empty: first definition in the module).
   std::string topFunction;
-  /// Honour xlx.unroll directives with backend unrolling (mutates the IR,
-  /// semantics-preserving).
-  bool applyUnrollDirectives = true;
   /// Reject the module on acceptance *warnings* too (strict mode).
   bool strictAcceptance = false;
 };

@@ -141,7 +141,7 @@ TEST(QoREstimator, SlackRulePromotesEveryTrueFrontierPoint) {
   // The refine strategy only synthesizes points the 15% slack rule keeps;
   // this is the containment guarantee: no point of the synthesized
   // frontier may be pruned based on estimates.
-  const double slack = 0.15;
+  const double slack = kRefineSlack;
   for (const std::string &name : allKernelNames()) {
     const Sweep &s = sweep(name);
     ParetoArchive realArchive, estArchive;

@@ -2,7 +2,6 @@
 // oracle detection, bugpoint-style reduction, and campaign reports.
 #include "fuzz/Fuzz.h"
 #include "lir/Function.h"
-#include "lir/Instruction.h"
 #include "lir/LContext.h"
 #include "lir/Parser.h"
 #include "lir/Verifier.h"
@@ -14,18 +13,6 @@ using namespace mha;
 using namespace mha::fuzz;
 
 namespace {
-
-/// The deliberate miscompile used throughout: rewrite the first fadd's
-/// second operand to its first (a+b -> a+a) after the adaptor ran.
-void plantFAddMiscompile(lir::Module &module) {
-  for (lir::Function *fn : module.functions())
-    for (auto &block : *fn)
-      for (auto &inst : *block)
-        if (inst->opcode() == lir::Opcode::FAdd) {
-          inst->setOperand(1, inst->operand(0));
-          return;
-        }
-}
 
 /// Finds a seed whose generated kernel the planted oracle flags (most
 /// kernels contain an fadd whose operands differ, but not all).
@@ -222,19 +209,6 @@ TEST(FuzzCampaign, ReplayRejectsMalformedDocuments) {
 // --- Calls mode ---------------------------------------------------------
 
 namespace {
-
-/// Planted miscompile for calls mode: after legalization, rewrite the
-/// first add's second operand to its first (a+b -> a+a).
-void plantAddMiscompile(lir::Module &module) {
-  for (lir::Function *fn : module.functions())
-    for (auto &block : *fn)
-      for (auto &inst : *block)
-        if (inst->opcode() == lir::Opcode::Add &&
-            inst->operand(0) != inst->operand(1)) {
-          inst->setOperand(1, inst->operand(0));
-          return;
-        }
-}
 
 std::optional<std::pair<uint64_t, OracleResult>> findPlantedCallsFailure() {
   OracleOptions oracle;

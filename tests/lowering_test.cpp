@@ -25,8 +25,7 @@ struct Lowered {
   std::unique_ptr<lir::Module> module;
   std::string error;
 
-  Lowered(const std::string &kernel, const flow::KernelConfig &config,
-          lowering::LoweringOptions options = {}) {
+  Lowered(const std::string &kernel, const flow::KernelConfig &config) {
     const flow::KernelSpec *spec = flow::findKernel(kernel);
     EXPECT_NE(spec, nullptr);
     DiagnosticEngine diags;
@@ -39,7 +38,7 @@ struct Lowered {
       error = diags.str();
       return;
     }
-    module = lowering::lowerToLIR(mod.get(), lctx, options, diags);
+    module = lowering::lowerToLIR(mod.get(), lctx, {}, diags);
     if (!module)
       error = diags.str();
   }
@@ -123,16 +122,6 @@ TEST(Lowering, FMulAddFusion) {
   EXPECT_NE(out.find("llvm.fmuladd.f64"), std::string::npos);
   // The raw fmul feeding it must be gone.
   EXPECT_EQ(out.find("= fmul "), std::string::npos);
-}
-
-TEST(Lowering, FMulAddFusionDisabled) {
-  lowering::LoweringOptions options;
-  options.fuseMulAdd = false;
-  Lowered l("gemm", {}, options);
-  ASSERT_NE(l.module, nullptr) << l.error;
-  std::string out = lir::printModule(*l.module);
-  EXPECT_EQ(out.find("llvm.fmuladd"), std::string::npos);
-  EXPECT_NE(out.find("fmul"), std::string::npos);
 }
 
 TEST(Lowering, LinearizedAddressing) {

@@ -1,6 +1,10 @@
-// ObservabilityCli.h - shared observability flags for the mha-* tools.
+// ObservabilityCli.h - command-line helpers shared by the mha-* tools.
 //
-// Every tool accepts the same five flags:
+// parseNumericFlag() is the tools' one strict integer-flag reader, and
+// parseKnobFlag() reads the design-knob flags (--ii=N, --unroll=N,
+// --partition=N, --dataflow, --no-directives) from flow::kKnobs.
+//
+// Every tool but mha-client accepts the same five observability flags:
 //
 //   --metrics-out=<path>       JSON metrics snapshot (schema mha.metrics.v1)
 //                              written at exit, or periodically with
@@ -14,8 +18,8 @@
 //   --event-log-level=<level>  debug|info|warn|error (default info)
 //
 // parseFlag() recognizes and strictly validates the flags (malformed
-// values are reported on stderr and refused, matching the tools'
-// parseNumericFlag convention); Session drives the lifecycle: begin()
+// values are reported on stderr and refused, through parseNumericFlag
+// where the value is a number); Session drives the lifecycle: begin()
 // before the work (enables metric recording, opens the log, starts the
 // exporter), finish() after it (final snapshot writes; failures make the
 // tool exit non-zero). With none of the flags given, both are no-ops and
@@ -23,6 +27,7 @@
 // writeJsonArtifact() is how the tools write their other JSON files.
 #pragma once
 
+#include "flow/Kernels.h"
 #include "support/EventLog.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
@@ -31,6 +36,57 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+
+namespace mha {
+
+/// Strictly parses the value of `--flag=value` (after `prefixLen` bytes)
+/// into [min, max]. Unlike atoi, rejects non-numeric input and
+/// out-of-range values, with a diagnostic on stderr, instead of silently
+/// producing 0.
+inline bool parseNumericFlag(const std::string &arg, size_t prefixLen,
+                             const char *flag, int64_t min, int64_t max,
+                             int64_t &out) {
+  std::string value = arg.substr(prefixLen);
+  std::optional<int64_t> parsed = parseInt(value);
+  if (!parsed || *parsed < min || *parsed > max) {
+    std::fprintf(stderr,
+                 "invalid value '%s' for %s (expected integer in "
+                 "[%lld, %lld])\n",
+                 value.c_str(), flag, static_cast<long long>(min),
+                 static_cast<long long>(max));
+    return false;
+  }
+  out = *parsed;
+  return true;
+}
+
+/// Reads one design-knob flag into `config`: --<knob>=N for an integer
+/// knob, within the knob's range, and for a boolean knob the flag that
+/// flips it from its KernelConfig default (--dataflow, --no-directives).
+/// Returns false when `arg` is no knob flag; a malformed value prints a
+/// diagnostic and sets `ok = false`.
+inline bool parseKnobFlag(const std::string &arg, flow::KernelConfig &config,
+                          bool &ok) {
+  ok = true;
+  const flow::KernelConfig defaults;
+  for (const flow::Knob &knob : flow::kKnobs) {
+    std::string flag = std::string("--") + knob.name;
+    if (knob.isBool()) {
+      bool flipped = !(defaults.*knob.boolField);
+      if (arg == (flipped ? flag : "--no-" + flag.substr(2))) {
+        config.*knob.boolField = flipped;
+        return true;
+      }
+    } else if (startsWith(arg, flag + "=")) {
+      ok = parseNumericFlag(arg, flag.size() + 1, flag.c_str(), knob.min,
+                            knob.max, config.*knob.intField);
+      return true;
+    }
+  }
+  return false;
+}
+
+} // namespace mha
 
 namespace mha::obscli {
 
@@ -68,17 +124,8 @@ inline bool parseFlag(const std::string &arg, Options &opts, bool &ok) {
     return true;
   }
   if (startsWith(arg, "--metrics-interval=")) {
-    std::string value = arg.substr(19);
-    std::optional<int64_t> parsed = parseInt(value);
-    if (!parsed || *parsed < 1 || *parsed > 86400000) {
-      std::fprintf(stderr,
-                   "invalid value '%s' for --metrics-interval (expected "
-                   "integer in [1, 86400000])\n",
-                   value.c_str());
-      ok = false;
-      return true;
-    }
-    opts.intervalMs = *parsed;
+    ok = parseNumericFlag(arg, 19, "--metrics-interval", 1, 86400000,
+                          opts.intervalMs);
     return true;
   }
   if (startsWith(arg, "--event-log=")) {

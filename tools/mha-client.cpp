@@ -17,6 +17,8 @@
 // status: 0 when the request finished ok (or the admin ack arrived),
 // 1 on a typed server-side error, 2 on usage or transport failure.
 // --quiet prints only the result/error event instead of the full stream.
+#include "ObservabilityCli.h"
+
 #include "serve/Client.h"
 
 #include "support/Json.h"
@@ -44,26 +46,6 @@ int usage() {
   return 2;
 }
 
-/// Strictly parses the value of `--flag=value` into [min, max]. Unlike
-/// atoi, rejects non-numeric input and out-of-range values instead of
-/// silently producing 0.
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -73,6 +55,7 @@ int main(int argc, char **argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    bool knobOk = true;
     if (startsWith(arg, "--socket="))
       socketPath = arg.substr(9);
     else if (startsWith(arg, "--kernel="))
@@ -91,22 +74,10 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "unknown flow '%s'\n", flow.c_str());
         return usage();
       }
-    } else if (startsWith(arg, "--ii=")) {
-      if (!parseNumericFlag(arg, 5, "--ii", 0, 1 << 20, req.config.pipelineII))
+    } else if (parseKnobFlag(arg, req.config, knobOk)) {
+      if (!knobOk)
         return usage();
-    } else if (startsWith(arg, "--unroll=")) {
-      if (!parseNumericFlag(arg, 9, "--unroll", 1, 1 << 20,
-                            req.config.unrollFactor))
-        return usage();
-    } else if (startsWith(arg, "--partition=")) {
-      if (!parseNumericFlag(arg, 12, "--partition", 1, 1 << 20,
-                            req.config.partitionFactor))
-        return usage();
-    } else if (arg == "--dataflow")
-      req.config.dataflow = true;
-    else if (arg == "--no-directives")
-      req.config.applyDirectives = false;
-    else if (arg == "--estimate")
+    } else if (arg == "--estimate")
       req.estimate = true;
     else if (startsWith(arg, "--id="))
       id = arg.substr(5);

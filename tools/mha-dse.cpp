@@ -59,23 +59,6 @@ int usage() {
   return 2;
 }
 
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
 /// Parses "--flag=1,2,4" into a list of integers in [min, max].
 bool parseListFlag(const std::string &arg, size_t prefixLen,
                    const char *flag, int64_t min, int64_t max,
@@ -100,6 +83,32 @@ bool parseListFlag(const std::string &arg, size_t prefixLen,
   return true;
 }
 
+/// The design space's candidate list for integer knob `knob`.
+std::vector<int64_t> &candidates(dse::DesignSpaceOptions &space,
+                                 const flow::Knob &knob) {
+  if (knob.intField == &flow::KernelConfig::pipelineII)
+    return space.pipelineIIs;
+  if (knob.intField == &flow::KernelConfig::unrollFactor)
+    return space.unrollFactors;
+  return space.partitionFactors;
+}
+
+/// Reads one candidate-list flag (--ii=0,1,2, --unroll=..., --partition=...:
+/// integers in the knob's range) into `space`. Returns false when `arg`
+/// is no list flag; a malformed list sets `ok = false`.
+bool parseKnobListFlag(const std::string &arg, dse::DesignSpaceOptions &space,
+                       bool &ok) {
+  for (const flow::Knob &knob : flow::kKnobs) {
+    std::string flag = std::string("--") + knob.name;
+    if (knob.isBool() || !startsWith(arg, flag + "="))
+      continue;
+    ok = parseListFlag(arg, flag.size() + 1, flag.c_str(), knob.min, knob.max,
+                       candidates(space, knob));
+    return true;
+  }
+  return false;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -114,7 +123,7 @@ int main(int argc, char **argv) {
   obscli::Options obsOptions;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    bool obsOk = true;
+    bool obsOk = true, listOk = true;
     if (obscli::parseFlag(arg, obsOptions, obsOk)) {
       if (!obsOk)
         return usage();
@@ -137,17 +146,8 @@ int main(int argc, char **argv) {
     } else if (startsWith(arg, "--threads=")) {
       if (!parseNumericFlag(arg, 10, "--threads", 0, 4096, threads))
         return usage();
-    } else if (startsWith(arg, "--ii=")) {
-      if (!parseListFlag(arg, 5, "--ii", 0, 1 << 20,
-                         spaceOptions.pipelineIIs))
-        return usage();
-    } else if (startsWith(arg, "--unroll=")) {
-      if (!parseListFlag(arg, 9, "--unroll", 1, 1 << 20,
-                         spaceOptions.unrollFactors))
-        return usage();
-    } else if (startsWith(arg, "--partition=")) {
-      if (!parseListFlag(arg, 12, "--partition", 1, 1 << 20,
-                         spaceOptions.partitionFactors))
+    } else if (parseKnobListFlag(arg, spaceOptions, listOk)) {
+      if (!listOk)
         return usage();
     } else if (arg == "--no-dataflow")
       spaceOptions.exploreDataflow = false;

@@ -66,26 +66,6 @@ int usage() {
   return 2;
 }
 
-/// Strictly parses the value of `--flag=value` into [min, max]. Unlike
-/// atoi, rejects non-numeric input and out-of-range values instead of
-/// silently producing 0.
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -104,7 +84,7 @@ int main(int argc, char **argv) {
   obscli::Options obsOptions;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    bool obsOk = true;
+    bool obsOk = true, knobOk = true;
     if (obscli::parseFlag(arg, obsOptions, obsOk)) {
       if (!obsOk)
         return usage();
@@ -125,22 +105,10 @@ int main(int argc, char **argv) {
       timePasses = true;
     else if (arg == "--stats")
       statsFlag = true;
-    else if (startsWith(arg, "--ii=")) {
-      if (!parseNumericFlag(arg, 5, "--ii", 0, 1 << 20, config.pipelineII))
+    else if (parseKnobFlag(arg, config, knobOk)) {
+      if (!knobOk)
         return usage();
-    } else if (startsWith(arg, "--unroll=")) {
-      if (!parseNumericFlag(arg, 9, "--unroll", 1, 1 << 20,
-                            config.unrollFactor))
-        return usage();
-    } else if (startsWith(arg, "--partition=")) {
-      if (!parseNumericFlag(arg, 12, "--partition", 1, 1 << 20,
-                            config.partitionFactor))
-        return usage();
-    } else if (arg == "--dataflow")
-      config.dataflow = true;
-    else if (arg == "--no-directives")
-      config.applyDirectives = false;
-    else if (arg == "--cosim")
+    } else if (arg == "--cosim")
       cosim = true;
     else if (startsWith(arg, "--lir="))
       lirPath = arg.substr(6);

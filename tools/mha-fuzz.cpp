@@ -17,14 +17,14 @@
 // virtual HLS backend unchanged. Failures are reduced
 // bugpoint-style and reported with an embedded reproducer document;
 // --reduce=FILE replays such a document on its own. --plant injects a
-// deliberate miscompile after the adaptor stage (a+b -> a+a on the first
-// fadd) to prove the oracle and reducer actually fire. Exit status 0 iff
-// the campaign is clean.
+// deliberate miscompile after each mode's transform stage (a+b -> a+a on
+// the first fadd after the adaptor in kernel mode; on the first add with
+// distinct operands after O2-lite in ir mode and after call legalization
+// in calls mode) to prove the oracle and reducer actually fire. Exit
+// status 0 iff the campaign is clean.
 #include "ObservabilityCli.h"
 
 #include "fuzz/Fuzz.h"
-#include "lir/Function.h"
-#include "lir/Instruction.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -48,35 +48,6 @@ int usage() {
       "                [--metrics-prom=m.prom] [--event-log=e.jsonl]\n"
       "                [--event-log-level=debug|info|warn|error]\n");
   return 2;
-}
-
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
-/// The deliberate miscompile for --plant: rewrite the first fadd's second
-/// operand to its first (a+b -> a+a), after the adaptor pipeline ran.
-void plantFAddMiscompile(lir::Module &module) {
-  for (lir::Function *fn : module.functions())
-    for (auto &block : *fn)
-      for (auto &inst : *block)
-        if (inst->opcode() == lir::Opcode::FAdd) {
-          inst->setOperand(1, inst->operand(0));
-          return;
-        }
 }
 
 void printFailure(const fuzz::FuzzFailure &f) {
@@ -161,7 +132,7 @@ int main(int argc, char **argv) {
   options.seed = static_cast<uint64_t>(seed);
   options.jobs = static_cast<unsigned>(jobs);
   if (plant)
-    options.oracle.mutateAdaptorModule = plantFAddMiscompile;
+    options.oracle.mutateAdaptorModule = fuzz::plantMiscompile;
 
   telemetry::Tracer &tracer = telemetry::Tracer::global();
   if (!chromeTracePath.empty()) {

@@ -48,26 +48,6 @@ int usage() {
   return 2;
 }
 
-/// Strictly parses the value of `--flag=value` into [min, max]. Unlike
-/// atoi, rejects non-numeric input and out-of-range values instead of
-/// silently producing 0.
-bool parseNumericFlag(const std::string &arg, size_t prefixLen,
-                      const char *flag, int64_t min, int64_t max,
-                      int64_t &out) {
-  std::string value = arg.substr(prefixLen);
-  std::optional<int64_t> parsed = parseInt(value);
-  if (!parsed || *parsed < min || *parsed > max) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (expected integer in "
-                 "[%lld, %lld])\n",
-                 value.c_str(), flag, static_cast<long long>(min),
-                 static_cast<long long>(max));
-    return false;
-  }
-  out = *parsed;
-  return true;
-}
-
 serve::Server *signalTarget = nullptr;
 
 void onSignal(int) {
