@@ -52,6 +52,13 @@ struct FlowState {
   std::unique_ptr<lir::LContext> &context() const { return result.ctx_; }
   /// The printed bridge output (cache on); addresses synth.
   std::string &lirText() const { return result.lirText_; }
+
+  // Cache on: the FNV state of each text-addressed key after its tag and
+  // text. The step that prints a text hashes it once and the cache entry
+  // keeps the state beside it, so a warm key never rehashes the IR.
+  uint64_t adaptorBridgeState = 0; // str("bridge-adaptor").str(mirText)
+  uint64_t hlsCppBridgeState = 0;  // str("bridge-hlscpp").str(mirText)
+  uint64_t synthState = 0;         // str("synth").str(lirText())
 };
 
 namespace {
@@ -116,8 +123,7 @@ uint64_t mlirKey(const FlowState &s) {
 /// The mir text plus everything that shapes lowering and the adaptor
 /// pipeline, with the *effective* adaptor options.
 uint64_t adaptorBridgeKey(const FlowState &s) {
-  HashBuilder hb;
-  hb.str("bridge-adaptor").str(s.mirText);
+  HashBuilder hb(s.adaptorBridgeState);
   // The lowering's one convention: opaque pointers, fmuladd fusion,
   // llvm.memcpy and modern function attributes.
   hb.boolean(true).boolean(true).boolean(true).boolean(true);
@@ -133,14 +139,17 @@ uint64_t lirBridgeKey(const FlowState &s) {
 }
 
 /// Emission and the HLS frontend take no options.
-uint64_t hlsCppBridgeKey(const FlowState &s) {
-  return HashBuilder().str("bridge-hlscpp").str(s.mirText).get();
+uint64_t hlsCppBridgeKey(const FlowState &s) { return s.hlsCppBridgeState; }
+
+/// Prints the bridge output that addresses synth and hashes it once.
+void setLirText(FlowState &s, std::string text) {
+  s.lirText() = std::move(text);
+  s.synthState = HashBuilder().str("synth").str(s.lirText()).get();
 }
 
 uint64_t synthKey(const FlowState &s) {
   vhls::SynthesisOptions options = synthOptions(s);
-  HashBuilder hb;
-  hb.str("synth").str(s.lirText());
+  HashBuilder hb(s.synthState);
   const vhls::TargetSpec &t = options.target;
   hb.f64Bits(t.clockPeriodNs).i64(t.memPortsPerBank);
   for (const auto &[fuClass, limit] : t.fuLimits)
@@ -302,16 +311,45 @@ struct Saved {
   int64_t bytes;
 };
 
-/// Bridge output: the HLS-ready lir text plus the leg's side outputs.
+/// Stage-1 output: the printed mir text and both bridge keys' states
+/// after it (charged at 8 bytes each).
+struct MirOutput {
+  std::string mirText;
+  uint64_t adaptorBridgeState;
+  uint64_t hlsCppBridgeState;
+};
+
+Saved saveMir(FlowState &s) {
+  s.mirText = mir::printModule(s.mir->get());
+  s.adaptorBridgeState =
+      HashBuilder().str("bridge-adaptor").str(s.mirText).get();
+  s.hlsCppBridgeState = HashBuilder().str("bridge-hlscpp").str(s.mirText).get();
+  MirOutput out{s.mirText, s.adaptorBridgeState, s.hlsCppBridgeState};
+  return {std::move(out),
+          static_cast<int64_t>(s.mirText.size() + 2 * sizeof(uint64_t))};
+}
+
+bool restoreMir(FlowState &s, std::any &value) {
+  auto out = std::any_cast<MirOutput>(std::move(value));
+  s.mirText = std::move(out.mirText);
+  s.adaptorBridgeState = out.adaptorBridgeState;
+  s.hlsCppBridgeState = out.hlsCppBridgeState;
+  return true;
+}
+
+/// Bridge output: the HLS-ready lir text, the synth key's state after it
+/// and the leg's side outputs.
 struct BridgeOutput {
   std::string lirText;
+  uint64_t synthState;
   std::string hlsCpp;
   lir::PassStats adaptorStats;
 };
 
 Saved saveBridge(FlowState &s) {
-  s.lirText() = lir::printModule(*s.module());
-  BridgeOutput out{s.lirText(), s.result.hlsCpp, s.result.adaptorStats};
+  setLirText(s, lir::printModule(*s.module()));
+  BridgeOutput out{s.lirText(), s.synthState, s.result.hlsCpp,
+                   s.result.adaptorStats};
   int64_t n = static_cast<int64_t>(sizeof(out) + out.lirText.size() +
                                    out.hlsCpp.size());
   for (const auto &[name, value] : out.adaptorStats)
@@ -329,6 +367,7 @@ bool restoreBridge(FlowState &s, std::any &value) {
   s.module().reset();
   s.context().reset();
   s.lirText() = std::move(out.lirText);
+  s.synthState = out.synthState;
   s.result.hlsCpp = std::move(out.hlsCpp);
   s.result.adaptorStats = std::move(out.adaptorStats);
   return true;
@@ -387,15 +426,7 @@ struct StageRow {
 
 const StageRow kMlirRow = {
     "mlirOpt", &StageTimings::mlirOptMs, "prepare-mlir",
-    StageCache::Stage::Mlir, nullptr, mlirKey, runMlir,
-    [](FlowState &s) -> Saved {
-      s.mirText = mir::printModule(s.mir->get());
-      return {s.mirText, static_cast<int64_t>(s.mirText.size())};
-    },
-    [](FlowState &s, std::any &value) {
-      s.mirText = std::any_cast<std::string>(std::move(value));
-      return true;
-    }};
+    StageCache::Stage::Mlir, nullptr, mlirKey, runMlir, saveMir, restoreMir};
 const StageRow kAdaptorBridgeRow = {
     "bridge", &StageTimings::bridgeMs, nullptr, StageCache::Stage::Bridge,
     nullptr, adaptorBridgeKey, runAdaptorBridge, saveBridge, restoreBridge};
@@ -550,7 +581,7 @@ vhls::SynthesisReport synthesizeModule(lir::Module &module,
   s.borrowed = &module;
   s.top = options.synthesis.topFunction;
   if (options.useStageCache)
-    s.lirText() = lir::printModule(module);
+    setLirText(s, lir::printModule(module));
   bool hit = false;
   runStage(kSynthRow, s, hit);
   return std::move(result.synth);

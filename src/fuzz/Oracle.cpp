@@ -58,23 +58,27 @@ OracleResult fail(FailureKind kind, std::string stage, std::string detail) {
 }
 
 /// Interprets `fn` once per argument set and compares each result with
-/// `expected` (same order): a set expected to trap must trap, any other
-/// must return the expected value. `label` names the interpreted result in
-/// a mismatch detail ("interp", "transformed"). Returns the first failure,
-/// or nullopt when every set agrees.
+/// `expected` (same order): a set expected to trap must trap (skipped
+/// when `trapsMayVanish`: a transform may fold or delete the trapping
+/// operation, which is undefined behaviour), any other must return the
+/// expected value, and trapping on it is a failure. `label` names the
+/// interpreted result in a mismatch detail ("interp", "transformed").
+/// Returns the first failure, or nullopt when every set agrees.
 std::optional<OracleResult>
 checkArgSets(lir::Module &module, lir::Function *fn,
              const std::vector<std::vector<int64_t>> &argSets,
              const std::vector<IrEval> &expected, const std::string &stage,
-             const char *label) {
+             const char *label, bool trapsMayVanish = false) {
   for (size_t s = 0; s < argSets.size(); ++s) {
+    const IrEval &ref = expected[s];
+    if (ref.trapped && trapsMayVanish)
+      continue;
     std::vector<interp::RtValue> rtArgs;
     for (int64_t a : argSets[s])
       rtArgs.push_back(interp::RtValue::ofInt(a));
     DiagnosticEngine runDiags;
     interp::Interpreter interpreter(module);
     auto run = interpreter.run(fn, rtArgs, runDiags);
-    const IrEval &ref = expected[s];
     if (ref.trapped) {
       if (run)
         return fail(FailureKind::Mismatch, stage,
@@ -258,18 +262,17 @@ OracleResult checkIr(const IrProgram &program, const OracleOptions &options) {
 
   // Stage 1: interpreter vs host reference, including trap agreement.
   std::vector<IrEval> refs;
-  bool anyTrap = false;
-  for (const std::vector<int64_t> &args : program.argSets) {
+  for (const std::vector<int64_t> &args : program.argSets)
     refs.push_back(evalIrReference(program, args));
-    anyTrap |= refs.back().trapped;
-  }
   if (auto failure =
           checkArgSets(*module, fn, program.argSets, refs, "interp", "interp"))
     return *failure;
 
-  // Stage 2: the O2-lite pipeline must preserve behavior on UB-free
-  // programs (a trapping program may legitimately lose its trap to DCE).
-  if (options.runTransforms && !anyTrap) {
+  // Stage 2: the O2-lite pipeline must preserve behavior on every
+  // argument set whose reference returns; a set that trapped may
+  // legitimately lose its trap (DCE of a dead division), but a set that
+  // returned must not start trapping.
+  if (options.runTransforms) {
     lir::PassManager pm(/*verifyEach=*/true);
     pm.add(lir::createMem2RegPass());
     pm.add(lir::createInstCombinePass());
@@ -283,7 +286,8 @@ OracleResult checkIr(const IrProgram &program, const OracleOptions &options) {
     if (options.mutateAdaptorModule)
       options.mutateAdaptorModule(*module);
     if (auto failure = checkArgSets(*module, fn, program.argSets, refs,
-                                    "o2-lite", "transformed"))
+                                    "o2-lite", "transformed",
+                                    /*trapsMayVanish=*/true))
       return *failure;
   }
   return OracleResult{};

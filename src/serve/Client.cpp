@@ -127,7 +127,9 @@ Client::CompileOutcome Client::runCompile(const Request &req) {
   }
   std::string line;
   while (readLine(line, &error)) {
-    std::optional<json::Value> doc = json::parse(line);
+    // Only top-level fields are read; the nested report is checked, not
+    // built, and the caller gets the raw line.
+    std::optional<json::Value> doc = json::parseShallow(line);
     if (!doc || !doc->isObject()) {
       outcome.error = "malformed response line: " + line;
       return outcome;
@@ -167,7 +169,7 @@ bool Client::awaitEvent(const std::string &event, const std::string &id,
                         std::optional<json::Value> &docOut) {
   std::string line;
   while (readLine(line)) {
-    std::optional<json::Value> doc = json::parse(line);
+    std::optional<json::Value> doc = json::parseShallow(line);
     if (!doc)
       return false;
     if (field(*doc, "event") == event && field(*doc, "id") == id) {

@@ -348,7 +348,9 @@ void Server::readerLoop(std::shared_ptr<Conn> conn) {
 
 void Server::handleLine(const std::shared_ptr<Conn> &conn,
                         const std::string &line) {
+  telemetry::Span parseSpan("serve:parse", "serve");
   ParsedRequest parsed = parseRequest(line);
+  parseSpan.finish();
   if (!parsed.ok) {
     emitTo(conn, renderError(parsed.request.id, parsed.errorCode,
                              parsed.errorMessage));

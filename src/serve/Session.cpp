@@ -8,6 +8,7 @@
 #include "support/Diagnostics.h"
 #include "support/Hash.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 
 #include <optional>
 
@@ -34,7 +35,10 @@ SessionOutcome finishFlow(const Request &req, const flow::FlowResult &result,
   outcome.cached = result.synthFromCache;
   if (result.ok) {
     outcome.ok = true;
-    emit(renderResult(req.id, req, result));
+    telemetry::Span render("serve:render", "serve");
+    std::string line = renderResult(req.id, req, result);
+    render.finish();
+    emit(line);
     return outcome;
   }
   outcome.code = result.cancelled ? errc::Cancelled : errc::FlowError;
@@ -68,8 +72,11 @@ SessionOutcome runEstimate(const Request &req, const flow::KernelSpec &spec,
     return outcome;
   }
   outcome.ok = true;
-  emit(renderEstimateResult(req.id, req, qor.latencyCycles, qor.dsp,
-                            qor.bram, qor.lut, qor.ff));
+  telemetry::Span render("serve:render", "serve");
+  std::string line = renderEstimateResult(req.id, req, qor.latencyCycles,
+                                          qor.dsp, qor.bram, qor.lut, qor.ff);
+  render.finish();
+  emit(line);
   return outcome;
 }
 

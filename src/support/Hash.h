@@ -40,6 +40,11 @@ inline uint64_t hashString(std::string_view s,
 /// and ("a","bc") hash differently.
 class HashBuilder {
 public:
+  HashBuilder() = default;
+  /// Resumes a stream whose state so far `get()` returned: feeding the
+  /// rest of the bytes gives the same hash as one builder fed them all.
+  explicit HashBuilder(uint64_t state) : hash_(state) {}
+
   HashBuilder &bytes(const void *data, size_t size) {
     hash_ = hashBytes(data, size, hash_);
     return *this;

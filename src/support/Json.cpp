@@ -11,6 +11,11 @@ namespace mha::json {
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  appendEscaped(out, s);
+  return out;
+}
+
+void appendEscaped(std::string &out, std::string_view s) {
   for (char ch : s) {
     unsigned char c = static_cast<unsigned char>(ch);
     switch (c) {
@@ -42,7 +47,6 @@ std::string escape(std::string_view s) {
         out += ch;
     }
   }
-  return out;
 }
 
 std::string number(double value, int precision) {
@@ -90,14 +94,19 @@ void appendUtf8(std::string &out, unsigned code) {
   }
 }
 
-/// The one recursive-descent JSON grammar behind parse() and validate().
-/// Every value function takes an output slot, null in check mode:
-/// parse() runs Reader<true> and gets a Value tree; validate() runs
-/// Reader<false>, whose slots are all null. `Build` tells the compiler
-/// what the slot's null test would tell it at run time, so the check-only
-/// instantiation folds the building away and constructs no Value; with a
-/// run-time test instead, validate() measured about 20% slower.
-template <bool Build> class Reader {
+/// The one recursive-descent JSON grammar behind parse(), parseShallow()
+/// and validate(). Every value function takes an output slot, null in
+/// check mode: parse() runs Reader<true> and gets a Value tree; validate()
+/// runs Reader<false>, whose slots are all null. `Build` tells the
+/// compiler what the slot's null test would tell it at run time, so the
+/// check-only instantiation folds the building away and constructs no
+/// Value; with a run-time test instead, validate() measured about 20%
+/// slower. parseShallow() runs Reader<true, true>, which hands every
+/// object or array below the outer value to the check-only reader, so
+/// they read as null.
+template <bool Build, bool Shallow = false> class Reader {
+  template <bool, bool> friend class Reader;
+
 public:
   explicit Reader(std::string_view text) : text_(text) {}
 
@@ -162,9 +171,10 @@ private:
       return fail("unexpected end of input");
     switch (peek()) {
     case '{':
-      return object(out, depth);
     case '[':
-      return array(out, depth);
+      if (Shallow && depth > 0)
+        return checkOnly(depth);
+      return peek() == '{' ? object(out, depth) : array(out, depth);
     case '"': {
       if (!Build)
         return string(nullptr);
@@ -181,6 +191,20 @@ private:
     default:
       return numberToken(out);
     }
+  }
+
+  /// Checks the value at the cursor with the check-only reader, at the
+  /// same offset and depth, so errors read exactly as parse()'s would.
+  bool checkOnly(int depth) {
+    Reader<false> check(text_);
+    check.pos_ = pos_;
+    bool ok = check.value(nullptr, depth);
+    pos_ = check.pos_;
+    if (!ok) {
+      message_ = check.message_;
+      errorPos_ = check.errorPos_;
+    }
+    return ok;
   }
 
   /// The comma-separated body of an array or object, after its opening
@@ -406,6 +430,13 @@ bool validate(std::string_view text, std::string *error) {
 std::optional<Value> parse(std::string_view text, std::string *error) {
   Value result;
   if (!Reader<true>(text).run(&result, error))
+    return std::nullopt;
+  return result;
+}
+
+std::optional<Value> parseShallow(std::string_view text, std::string *error) {
+  Value result;
+  if (!Reader<true, true>(text).run(&result, error))
     return std::nullopt;
   return result;
 }

@@ -10,8 +10,9 @@
 //    valid JSON;
 //  * parse() and validate() share one recursive-descent reader: parse()
 //    builds a Value tree (object member order preserved, numbers kept as
-//    doubles; asInt() hands back only integral, int64-range ones), and
-//    validate() is its check-only mode, which builds nothing;
+//    doubles; asInt() hands back only integral, int64-range ones),
+//    validate() is its check-only mode, which builds nothing, and
+//    parseShallow() builds only the outer value's members;
 //  * writeFile() is the one way a JSON artifact reaches disk (Chrome
 //    trace, metrics snapshot, batch trace, DSE report and cache, fuzz
 //    report and repro, bench rows): it validates first, so a malformed
@@ -84,9 +85,20 @@ private:
 /// \uXXXX escapes are re-encoded as UTF-8.
 std::optional<Value> parse(std::string_view text, std::string *error = nullptr);
 
+/// parse() for protocol lines whose callers read only the outer value's
+/// members: those are built (scalars read back as parse() gives them),
+/// while every object or array nested below them is checked without
+/// building anything and reads as null. Accepts and rejects exactly the
+/// texts parse() does, with the same error text.
+std::optional<Value> parseShallow(std::string_view text,
+                                  std::string *error = nullptr);
+
 /// Escapes `s` for inclusion inside a JSON string literal (no surrounding
 /// quotes added).
 std::string escape(std::string_view s);
+
+/// Appends escape(s) to `out` (writers that build one string in place).
+void appendEscaped(std::string &out, std::string_view s);
 
 /// Formats `value` with `precision` digits after the decimal point using
 /// '.' as the decimal separator regardless of the process locale.

@@ -3,6 +3,7 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace mha::vhls {
@@ -70,76 +71,95 @@ std::string SynthesisReport::str() const {
   return os.str();
 }
 
+namespace {
+
+// The JSON writer appends into one string: `prefix` (punctuation and the
+// key), then the value, an integer through to_chars, a bool as its
+// literal or a string quoted and escaped in place.
+
+void put(std::string &out, const char *prefix, int64_t value) {
+  out += prefix;
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void put(std::string &out, const char *prefix, bool value) {
+  out += prefix;
+  out += value ? "true" : "false";
+}
+
+void put(std::string &out, const char *prefix, std::string_view text) {
+  out += prefix;
+  out += '"';
+  json::appendEscaped(out, text);
+  out += '"';
+}
+
+} // namespace
+
 std::string SynthesisReport::json() const {
-  std::ostringstream os;
-  os << "{\n  \"accepted\": " << (accepted ? "true" : "false") << ",\n";
-  os << strfmt("  \"errors\": %lld,\n  \"warnings\": %lld,\n",
-               static_cast<long long>(compat.errors),
-               static_cast<long long>(compat.warnings));
-  os << "  \"violations\": {";
-  bool first = true;
+  // A rough size from the record counts, so the string grows once at most.
+  std::string out;
+  size_t estimate = 256;
+  for (const FunctionReport &fn : functions)
+    estimate += 320 + 180 * fn.loops.size() + 140 * fn.arrays.size();
+  out.reserve(estimate);
+  put(out, "{\n  \"accepted\": ", accepted);
+  put(out, ",\n  \"errors\": ", compat.errors);
+  put(out, ",\n  \"warnings\": ", compat.warnings);
+  out += ",\n  \"violations\": {";
+  const char *sep = "";
   for (const auto &[category, count] : compat.violations) {
-    if (!first)
-      os << ", ";
-    first = false;
-    os << "\"" << json::escape(category) << "\": " << count;
+    put(out, sep, category);
+    put(out, ": ", count);
+    sep = ", ";
   }
-  os << "},\n";
-  os << "  \"top\": \"" << json::escape(topName) << "\",\n";
-  os << "  \"functions\": [\n";
+  put(out, "},\n  \"top\": ", topName);
+  out += ",\n  \"functions\": [\n";
   for (size_t f = 0; f < functions.size(); ++f) {
     const FunctionReport &fn = functions[f];
-    os << "    {\n      \"name\": \"" << json::escape(fn.name) << "\",\n";
-    os << strfmt("      \"latency_cycles\": %lld,\n",
-                 static_cast<long long>(fn.latencyCycles));
-    os << "      \"dataflow\": " << (fn.dataflow ? "true" : "false")
-       << ",\n";
-    os << strfmt("      \"fsm_states\": %lld,\n",
-                 static_cast<long long>(fn.fsmStates));
-    os << "      \"estimated_period_ns\": "
-       << json::number(fn.achievedPeriodNs) << ",\n";
-    os << strfmt("      \"resources\": {\"dsp\": %lld, \"bram\": %lld, "
-                 "\"lut\": %lld, \"ff\": %lld},\n",
-                 static_cast<long long>(fn.resources.dsp),
-                 static_cast<long long>(fn.resources.bram),
-                 static_cast<long long>(fn.resources.lut),
-                 static_cast<long long>(fn.resources.ff));
-    os << "      \"loops\": [";
-    for (size_t l = 0; l < fn.loops.size(); ++l) {
-      const LoopReport &loop = fn.loops[l];
-      if (l)
-        os << ", ";
-      os << strfmt("{\"name\": \"%s\", \"trip\": %lld, \"pipelined\": %s, "
-                   "\"ii\": %lld, \"rec_mii\": %lld, \"res_mii\": %lld, "
-                   "\"depth\": %lld, \"latency\": %lld}",
-                   json::escape(loop.name).c_str(),
-                   static_cast<long long>(loop.tripCount),
-                   loop.pipelined ? "true" : "false",
-                   static_cast<long long>(loop.achievedII),
-                   static_cast<long long>(loop.recMII),
-                   static_cast<long long>(loop.resMII),
-                   static_cast<long long>(loop.iterationLatency),
-                   static_cast<long long>(loop.totalLatency));
+    put(out, "    {\n      \"name\": ", fn.name);
+    put(out, ",\n      \"latency_cycles\": ", fn.latencyCycles);
+    put(out, ",\n      \"dataflow\": ", fn.dataflow);
+    put(out, ",\n      \"fsm_states\": ", fn.fsmStates);
+    out += ",\n      \"estimated_period_ns\": ";
+    out += json::number(fn.achievedPeriodNs);
+    put(out, ",\n      \"resources\": {\"dsp\": ", fn.resources.dsp);
+    put(out, ", \"bram\": ", fn.resources.bram);
+    put(out, ", \"lut\": ", fn.resources.lut);
+    put(out, ", \"ff\": ", fn.resources.ff);
+    out += "},\n      \"loops\": [";
+    sep = "";
+    for (const LoopReport &loop : fn.loops) {
+      out += sep;
+      put(out, "{\"name\": ", loop.name);
+      put(out, ", \"trip\": ", loop.tripCount);
+      put(out, ", \"pipelined\": ", loop.pipelined);
+      put(out, ", \"ii\": ", loop.achievedII);
+      put(out, ", \"rec_mii\": ", loop.recMII);
+      put(out, ", \"res_mii\": ", loop.resMII);
+      put(out, ", \"depth\": ", loop.iterationLatency);
+      put(out, ", \"latency\": ", loop.totalLatency);
+      out += '}';
+      sep = ", ";
     }
-    os << "],\n      \"arrays\": [";
-    for (size_t a = 0; a < fn.arrays.size(); ++a) {
-      const ArrayReport &array = fn.arrays[a];
-      if (a)
-        os << ", ";
-      os << strfmt("{\"name\": \"%s\", \"bytes\": %lld, \"banks\": %lld, "
-                   "\"partition\": \"%s\", \"bram\": %lld, "
-                   "\"on_chip\": %s}",
-                   json::escape(array.name).c_str(),
-                   static_cast<long long>(array.bytes),
-                   static_cast<long long>(array.banks),
-                   json::escape(array.partition).c_str(),
-                   static_cast<long long>(array.bramBlocks),
-                   array.onChip ? "true" : "false");
+    out += "],\n      \"arrays\": [";
+    sep = "";
+    for (const ArrayReport &array : fn.arrays) {
+      out += sep;
+      put(out, "{\"name\": ", array.name);
+      put(out, ", \"bytes\": ", array.bytes);
+      put(out, ", \"banks\": ", array.banks);
+      put(out, ", \"partition\": ", array.partition);
+      put(out, ", \"bram\": ", array.bramBlocks);
+      put(out, ", \"on_chip\": ", array.onChip);
+      out += '}';
+      sep = ", ";
     }
-    os << "]\n    }" << (f + 1 < functions.size() ? "," : "") << "\n";
+    out += f + 1 < functions.size() ? "]\n    },\n" : "]\n    }\n";
   }
-  os << "  ]\n}\n";
-  return os.str();
+  out += "  ]\n}\n";
+  return out;
 }
 
 } // namespace mha::vhls

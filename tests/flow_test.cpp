@@ -452,6 +452,41 @@ TEST_P(FlowSpans, PinsSpanSequenceAndCacheTraffic) {
   StageCache::global().clear();
 }
 
+// The mlir entry carries both bridge keys' hash states, so an hls-c++
+// flow after an adaptor flow hits the mlir row and keys its own bridge
+// from the entry's hls-c++ state; the bridge entry carries the synth
+// state. Every warm row then hits, and each result matches a cache-off run.
+TEST(Flow, WarmKeysResumeFromStatesSavedWithEachText) {
+  StageCache::global().clear();
+  FlowOptions cached;
+  cached.useStageCache = true;
+  const FlowResult adaptorOff = runEntry(Entry::Adaptor, {});
+  const FlowResult hlsCppOff = runEntry(Entry::HlsCpp, {});
+  ASSERT_TRUE(adaptorOff.ok && hlsCppOff.ok);
+
+  CacheTraffic before = cacheTraffic();
+  FlowResult adaptor = runEntry(Entry::Adaptor, cached);
+  ASSERT_TRUE(adaptor.ok) << adaptor.diagnostics;
+  EXPECT_EQ(cacheTraffic() - before, (CacheTraffic{0, 1, 0, 1, 0, 1}));
+
+  before = cacheTraffic();
+  FlowResult hlsCpp = runEntry(Entry::HlsCpp, cached);
+  ASSERT_TRUE(hlsCpp.ok) << hlsCpp.diagnostics;
+  EXPECT_EQ(cacheTraffic() - before, (CacheTraffic{1, 0, 0, 1, 0, 1}));
+  EXPECT_EQ(hlsCpp.synth.json(), hlsCppOff.synth.json());
+
+  for (Entry entry : {Entry::Adaptor, Entry::HlsCpp}) {
+    before = cacheTraffic();
+    FlowResult warm = runEntry(entry, cached);
+    ASSERT_TRUE(warm.ok) << warm.diagnostics;
+    EXPECT_EQ(cacheTraffic() - before, (CacheTraffic{1, 0, 1, 0, 1, 0}));
+    EXPECT_EQ(warm.synth.json(), (entry == Entry::Adaptor ? adaptorOff
+                                                          : hlsCppOff)
+                                     .synth.json());
+  }
+  StageCache::global().clear();
+}
+
 // Cooperative cancellation at every stage boundary: the flag, set from
 // onStage(s), stops the run before the next stage; the stages that
 // completed stay cached, so a rerun hits exactly them.

@@ -674,41 +674,57 @@ TEST(ServeServer, FinishedConnectionsAreJoinedAndDropped) {
   EXPECT_EQ(server.stats().connections, 72);
 }
 
+namespace {
+
+/// Runs one compile request against a fake daemon that answers it with
+/// `reply` (newline-framed lines) and closes.
+Client::CompileOutcome compileAgainstFakeDaemon(const std::string &reply) {
+  std::string socket = testSocketPath();
+  int listenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(listenFd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket.c_str());
+  EXPECT_EQ(
+      ::bind(listenFd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)), 0);
+  EXPECT_EQ(::listen(listenFd, 1), 0);
+  std::thread daemon([&] {
+    int fd = ::accept(listenFd, nullptr, nullptr);
+    char request[4096];
+    if (fd >= 0 && ::read(fd, request, sizeof(request)) > 0)
+      (void)!::write(fd, reply.data(), reply.size());
+    if (fd >= 0)
+      ::close(fd);
+  });
+  Client client;
+  Client::CompileOutcome outcome;
+  if (client.connect(socket))
+    outcome = client.runCompile(compileRequest("r", "fir"));
+  else
+    outcome.error = "connect failed";
+  daemon.join();
+  ::close(listenFd);
+  ::unlink(socket.c_str());
+  return outcome;
+}
+
+std::string doneLine(const char *queueUs) {
+  return strfmt(
+      R"({"schema": "mha.serve.resp.v1", "id": "r", "event": "done", )"
+      R"("status": "ok", "cached": false, "queue_us": %s, )"
+      R"("compile_us": 10})"
+      "\n",
+      queueUs);
+}
+
+} // namespace
+
 TEST(ServeClient, NonIntegralDoneFieldIsAMalformedReply) {
   // A fake daemon answers each request with one `done` line; only an
   // integral queue_us reads as a reply.
   for (const char *queueUs : {"25", "2.5", "1e300"}) {
-    std::string socket = testSocketPath();
-    int listenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    ASSERT_GE(listenFd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", socket.c_str());
-    ASSERT_EQ(::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)),
-              0);
-    ASSERT_EQ(::listen(listenFd, 1), 0);
-    std::string done = strfmt(
-        R"({"schema": "mha.serve.resp.v1", "id": "r", "event": "done", )"
-        R"("status": "ok", "cached": false, "queue_us": %s, )"
-        R"("compile_us": 10})"
-        "\n",
-        queueUs);
-    std::thread daemon([&] {
-      int fd = ::accept(listenFd, nullptr, nullptr);
-      char request[4096];
-      if (fd >= 0 && ::read(fd, request, sizeof(request)) > 0)
-        (void)!::write(fd, done.data(), done.size());
-      if (fd >= 0)
-        ::close(fd);
-    });
-    Client client;
-    ASSERT_TRUE(client.connect(socket));
     Client::CompileOutcome outcome =
-        client.runCompile(compileRequest("r", "fir"));
-    daemon.join();
-    ::close(listenFd);
-    ::unlink(socket.c_str());
+        compileAgainstFakeDaemon(doneLine(queueUs));
     bool integral = std::string(queueUs) == "25";
     EXPECT_EQ(outcome.transportOk, integral) << queueUs;
     EXPECT_EQ(outcome.ok, integral) << queueUs;
@@ -718,6 +734,30 @@ TEST(ServeClient, NonIntegralDoneFieldIsAMalformedReply) {
       EXPECT_NE(outcome.error.find("malformed response line"),
                 std::string::npos)
           << outcome.error;
+  }
+}
+
+TEST(ServeClient, BrokenNestedReportIsAMalformedReply) {
+  // The client reads reply lines shallowly, but the nested report is
+  // still checked: a result line whose report does not parse is refused,
+  // while a well-formed one is kept byte for byte.
+  const std::string head =
+      R"({"schema": "mha.serve.resp.v1", "id": "r", "event": "result", )"
+      R"("ok": true, "kernel": "fir", "report": )";
+  for (const char *report :
+       {R"({"accepted": true, "loops": [{"ii": 1}]})",
+        R"({"accepted": tru, "loops": [{"ii": 1}]})",
+        R"({"accepted": true, "loops": [{"ii": 1},]})"}) {
+    std::string result = head + report + "}";
+    Client::CompileOutcome outcome =
+        compileAgainstFakeDaemon(result + "\n" + doneLine("25"));
+    bool wellFormed = json::validate(result);
+    EXPECT_EQ(outcome.transportOk, wellFormed) << report;
+    if (wellFormed) {
+      EXPECT_EQ(outcome.resultLine, result);
+    } else {
+      EXPECT_EQ(outcome.error, "malformed response line: " + result);
+    }
   }
 }
 

@@ -262,16 +262,18 @@ TEST(Json, ParseRoundTripsEmittedDocuments) {
   EXPECT_DOUBLE_EQ(doc->get("value")->asDouble(), 12.625);
 }
 
-TEST(Json, ValidateAndParseShareOneGrammar) {
-  // validate() is parse()'s check-only mode: both accept the same inputs
-  // and reject the rest with the same words at the same offset.
+namespace {
+
+struct GrammarCase {
+  std::string text;
+  bool ok;
+};
+
+/// Inputs every mode of the one JSON reader must accept or reject alike.
+std::vector<GrammarCase> grammarCorpus() {
   std::string atLimit = std::string(129, '[') + std::string(129, ']');
   std::string pastLimit = std::string(130, '[') + std::string(130, ']');
-  struct Case {
-    std::string text;
-    bool ok;
-  };
-  const Case cases[] = {
+  return {
       {"01", false},           {"1.5.5", false},
       {"-", false},            {"1e", false},
       {"1e+", false},          {"-0", true},
@@ -281,7 +283,15 @@ TEST(Json, ValidateAndParseShareOneGrammar) {
       {atLimit, true},         {pastLimit, false},
       {"[1] x", false},        {"", false},
   };
-  for (const Case &c : cases) {
+}
+
+} // namespace
+
+TEST(Json, ValidateAndParseShareOneGrammar) {
+  // validate() is parse()'s check-only mode: both accept the same inputs
+  // and reject the rest with the same words at the same offset.
+  std::string pastLimit = std::string(130, '[') + std::string(130, ']');
+  for (const GrammarCase &c : grammarCorpus()) {
     std::string validateError = "unset", parseError = "unset";
     bool valid = json::validate(c.text, &validateError);
     bool parsed = json::parse(c.text, &parseError).has_value();
@@ -296,6 +306,57 @@ TEST(Json, ValidateAndParseShareOneGrammar) {
   EXPECT_EQ(error, "trailing characters after value at offset 1");
   EXPECT_FALSE(json::validate(pastLimit, &error));
   EXPECT_EQ(error, "nesting too deep at offset 129");
+}
+
+TEST(Json, ShallowReadSharesTheGrammar) {
+  // The shallow read checks nested values through the check-only path,
+  // so it accepts and rejects what parse() does, in the same words. Each
+  // corpus case is also read one level down, inside an object member.
+  std::vector<std::string> texts;
+  for (const GrammarCase &c : grammarCorpus()) {
+    std::string shallowError = "unset";
+    EXPECT_EQ(json::parseShallow(c.text, &shallowError).has_value(), c.ok)
+        << c.text << ": " << shallowError;
+    texts.push_back(c.text);
+    texts.push_back("{\"id\": \"r\", \"k\": [" + c.text + "]}");
+  }
+  texts.push_back(R"({"report": {"accepted": tru}, "id": "r"})");
+  texts.push_back(R"({"a": [1, 2,]})");
+  texts.push_back(R"({"a": {"b": 1} "c": 2})");
+  texts.push_back(R"({"a": {"b": "\q"}})");
+  for (const std::string &text : texts) {
+    std::string shallowError = "unset", parseError = "unset";
+    bool shallow = json::parseShallow(text, &shallowError).has_value();
+    bool full = json::parse(text, &parseError).has_value();
+    EXPECT_EQ(shallow, full) << text << ": " << shallowError;
+    if (!full) {
+      EXPECT_EQ(shallowError, parseError) << text;
+    }
+  }
+
+  // Top-level scalars read back as parse() gives them; nested values are
+  // null. A top-level container is the outer value and is built.
+  std::optional<json::Value> doc = json::parseShallow(
+      R"({"id": "r\u00e9", "n": -2.5, "big": 12345678901, "t": true, )"
+      R"("z": null, "report": {"loops": [{"ii": 1}]}, "list": [1, 2]})");
+  ASSERT_TRUE(doc && doc->isObject());
+  ASSERT_EQ(doc->members().size(), 7u);
+  EXPECT_EQ(doc->get("id")->asString(), "r\xc3\xa9");
+  EXPECT_EQ(doc->get("n")->asDouble(), -2.5);
+  EXPECT_EQ(doc->get("big")->asInt(), 12345678901);
+  EXPECT_TRUE(doc->get("t")->asBool());
+  EXPECT_TRUE(doc->get("z")->isNull());
+  EXPECT_TRUE(doc->get("report")->isNull());
+  EXPECT_TRUE(doc->get("list")->isNull());
+  EXPECT_EQ(doc->members()[5].first, "report");
+  std::optional<json::Value> scalar = json::parseShallow(" 7 ");
+  ASSERT_TRUE(scalar);
+  EXPECT_EQ(scalar->asInt(), 7);
+  std::optional<json::Value> array = json::parseShallow("[1, \"a\", [2]]");
+  ASSERT_TRUE(array && array->isArray());
+  ASSERT_EQ(array->elements().size(), 3u);
+  EXPECT_EQ(array->elements()[1].asString(), "a");
+  EXPECT_TRUE(array->elements()[2].isNull());
 }
 
 TEST(Json, WriteFileValidatesThenWrites) {
@@ -548,6 +609,25 @@ TEST(Hash, BuilderDistinguishesBoundariesAndBitPatterns) {
             HashBuilder().u64(7).boolean(true).get());
   EXPECT_NE(HashBuilder().u64(7).boolean(true).get(),
             HashBuilder().u64(7).boolean(false).get());
+}
+
+TEST(Hash, ResumedBuilderEqualsOneShotStream) {
+  // The stage keys resume from a state saved beside a cached text, so a
+  // split stream must hash exactly like the whole one.
+  const std::string text = "module {\n  func @k() \xe2\x86\x92 ()\n}\n";
+  uint64_t saved = HashBuilder().str("bridge-adaptor").str(text).get();
+  EXPECT_EQ(HashBuilder(saved).boolean(true).i64(-3).str("gemm").get(),
+            HashBuilder()
+                .str("bridge-adaptor")
+                .str(text)
+                .boolean(true)
+                .i64(-3)
+                .str("gemm")
+                .get());
+  // Resuming with nothing fed is the saved state itself.
+  EXPECT_EQ(HashBuilder(saved).get(), saved);
+  EXPECT_EQ(HashBuilder(kFnvOffsetBasis).str("x").get(),
+            HashBuilder().str("x").get());
 }
 
 namespace {

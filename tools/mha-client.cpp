@@ -156,7 +156,7 @@ int main(int argc, char **argv) {
   }
   std::string line;
   while (client.readLine(line, &error)) {
-    std::optional<json::Value> doc = json::parse(line);
+    std::optional<json::Value> doc = json::parseShallow(line);
     if (!doc) {
       std::fprintf(stderr, "mha-client: malformed response: %s\n",
                    line.c_str());
