@@ -5,7 +5,6 @@
 #include "lir/analysis/Dominators.h"
 #include "lir/analysis/LoopInfo.h"
 #include "lir/transforms/LoopUnroll.h"
-#include "support/StringUtils.h"
 #include "vhls/Estimate.h"
 
 #include <algorithm>
@@ -24,16 +23,14 @@ using vhls::ResourceUsage;
 /// modules themselves are released after construction.
 struct QoREstimation::Model {
   /// One pointer base (argument array, alloca, or a pseudo entry for any
-  /// other base a memory access roots at).
+  /// other base a memory access roots at). The partition's factor is the
+  /// probe's; estimates use the config's instead.
   struct Array {
-    bool marked = false;   // carries an xlx.array_partition directive
-    unsigned dim = 0;      // partitioned dimension
-    bool cyclic = true;
-    int64_t extent = 1;    // size of the partitioned dimension
+    vhls::PartitionInfo partition;
+    int64_t extent = 1; // size of the partitioned dimension
   };
 
-  /// One load/store in a target loop's latch, in the same linearized form
-  /// the scheduler's bank classification uses: subscript of the
+  /// One load/store in a target loop's latch: its subscript of the
   /// partitioned dimension = ivCoef * iv + constant (when linear).
   struct Access {
     size_t arrayIdx = 0;
@@ -83,67 +80,35 @@ struct QoREstimation::Model {
   ResourceUsage resPipe;  // pipelined probe resources
   ResourceUsage resPipeFloor; // resPipe minus the probe's pipelined FU cost
 
-  /// Effective cyclic/block partition factor of `array` under `config` —
-  /// the factor the scheduler would see in the xlx.array_partition
-  /// metadata the kernel builder emits for that config.
-  int64_t partitionFactorOf(const Array &array,
-                            const flow::KernelConfig &config) const {
-    if (!array.marked || !config.applyDirectives)
-      return 1;
-    return std::max<int64_t>(1, config.partitionFactor);
-  }
-
-  /// Mirror of the scheduler's ResMII computation for `loop`'s latch body
-  /// unrolled by `factor` under `config`'s partition factor: replicate
-  /// every access r=0..factor-1 (constant += ivCoef*r, ivCoef *= factor),
-  /// classify each replica onto a bank residue class, and bound the II by
-  /// the most-contended class (ports) and any FU allocation limits.
+  /// The scheduler's ResMII for `loop`'s latch body unrolled by `factor`
+  /// under `config`'s partition factor: replicate every access
+  /// r=0..factor-1 (constant += ivCoef*r, ivCoef *= factor), classify each
+  /// replica onto its bank class, and bound the II by the most-contended
+  /// class (ports) and any FU allocation limits.
   int64_t resMIIFor(const Loop &loop, int64_t factor,
                     const flow::KernelConfig &config) const {
-    std::map<std::pair<size_t, int64_t>, int64_t> classCount;
-    std::map<size_t, int64_t> unknownCount;
+    vhls::ResMIIAccumulator resMII;
     for (const Access &access : loop.accesses) {
       const Array &array = arrays[access.arrayIdx];
-      int64_t f = partitionFactorOf(array, config);
-      for (int64_t r = 0; r < factor; ++r) {
-        if (f <= 1) {
-          // Unpartitioned: single bank, known residue 0.
-          classCount[{access.arrayIdx, 0}]++;
-          continue;
-        }
-        if (!access.linear) {
-          unknownCount[access.arrayIdx]++;
-          continue;
-        }
-        int64_t constant = access.constant + access.ivCoef * r;
-        int64_t ivCoef = access.ivCoef * factor;
-        if (array.cyclic) {
-          int64_t residue = ((constant % f) + f) % f;
-          classCount[{access.arrayIdx, residue * 1000 + ivCoef % f}]++;
-        } else if (ivCoef == 0) {
-          int64_t residue = constant / std::max<int64_t>(1, array.extent / f);
-          classCount[{access.arrayIdx, residue * 1000}]++;
-        } else {
-          unknownCount[access.arrayIdx]++;
-        }
-      }
+      // The factor the scheduler would see in the xlx.array_partition
+      // metadata the kernel builder emits for this config.
+      vhls::PartitionInfo partition = array.partition;
+      partition.factor = partition.directive && config.applyDirectives
+                             ? std::max<int64_t>(1, config.partitionFactor)
+                             : 1;
+      int base = static_cast<int>(access.arrayIdx);
+      for (int64_t r = 0; r < factor; ++r)
+        resMII.add(base, partition.factor > 1 && !access.linear
+                             ? vhls::BankClass()
+                             : vhls::bankClassOf(
+                                   partition, array.extent,
+                                   access.ivCoef * factor,
+                                   access.constant + access.ivCoef * r));
     }
-    int64_t resMII = 1;
-    for (auto &[key, count] : classCount) {
-      int64_t total = count + unknownCount[key.first];
-      resMII = std::max(resMII,
-                        vhls::portLimitedMII(total, target.memPortsPerBank));
-    }
-    for (auto &[idx, count] : unknownCount)
-      resMII = std::max(resMII,
-                        vhls::portLimitedMII(count, target.memPortsPerBank));
-    if (!target.fuLimits.empty()) {
+    if (!target.fuLimits.empty())
       for (auto &[cls, count] : loop.classOps)
-        if (int limit = target.fuLimitFor(cls); limit > 0)
-          resMII = std::max(
-              resMII, vhls::allocationLimitedMII(count * factor, limit));
-    }
-    return resMII;
+        resMII.addAllocation(count * factor, target.fuLimitFor(cls));
+    return resMII.resMII(target.memPortsPerBank);
   }
 
   /// Extra cycles an unrolled *sequential* body pays over the baseline
@@ -187,9 +152,7 @@ struct QoREstimation::Model {
       auto [units, cost] = unitsCost;
       if (int limit = target.fuLimitFor(cls); limit > 0)
         units = std::min<int64_t>(units, limit);
-      total.dsp += cost.dsp * units;
-      total.lut += cost.lut * units;
-      total.ff += cost.ff * units;
+      total += cost * units;
     }
     return total;
   }
@@ -259,42 +222,12 @@ QoREstimation::build(const flow::KernelSpec &spec,
   model.resBase = {baseQoR.dsp, baseQoR.bram, baseQoR.lut, baseQoR.ff};
   model.resPipe = {pipeQoR.dsp, pipeQoR.bram, pipeQoR.lut, pipeQoR.ff};
 
-  // ---- arrays (mirror of the scheduler's collectArrays) ----
+  // ---- arrays ----
   std::map<const lir::Value *, size_t> arrayIndex;
-  auto addArray = [&](const lir::Value *value, const std::vector<int64_t> &dims,
-                      const lir::MDNode *partitionMD) {
-    Model::Array array;
-    if (partitionMD && partitionMD->size() > 0) {
-      const lir::MDNode *triple = partitionMD->getNode(0);
-      if (triple && triple->size() >= 3) {
-        array.marked = true;
-        array.dim = static_cast<unsigned>(triple->getInt(0));
-        array.cyclic = triple->getString(2) != "block";
-      }
-    }
-    if (array.dim < dims.size())
-      array.extent = dims[array.dim];
-    arrayIndex[value] = model.arrays.size();
-    model.arrays.push_back(array);
-  };
-  for (const auto &arg : fn->args()) {
-    std::vector<int64_t> dims = lir::arrayDims(arg->type());
-    if (!dims.empty())
-      addArray(arg.get(), dims, arg->getMetadata("xlx.array_partition"));
+  for (const vhls::ArrayBase &base : vhls::collectArrayBases(*fn)) {
+    arrayIndex[base.value] = model.arrays.size();
+    model.arrays.push_back({base.partition, base.extent()});
   }
-  for (BasicBlock *bb : fn->blockPtrs())
-    for (auto &inst : *bb) {
-      if (inst->opcode() != Opcode::Alloca)
-        continue;
-      std::vector<int64_t> dims;
-      lir::Type *elem = inst->allocatedType();
-      while (const auto *at = dyn_cast<lir::ArrayType>(elem)) {
-        dims.push_back(static_cast<int64_t>(at->numElements()));
-        elem = at->element();
-      }
-      if (!dims.empty())
-        addArray(inst.get(), dims, inst->getMetadata("xlx.array_partition"));
-    }
   auto arrayIdxFor = [&](const lir::Value *base) {
     auto [it, inserted] = arrayIndex.try_emplace(base, model.arrays.size());
     if (inserted)
@@ -308,13 +241,7 @@ QoREstimation::build(const flow::KernelSpec &spec,
   // that order on the probe IR so loops[i] is report row i.
   lir::DominatorTree domTree(*fn);
   lir::LoopInfo loopInfo(*fn, domTree);
-  std::vector<lir::Loop *> loops;
-  for (const auto &loop : loopInfo.loops())
-    loops.push_back(loop.get());
-  std::stable_sort(loops.begin(), loops.end(),
-                   [](lir::Loop *a, lir::Loop *b) {
-                     return a->depth() > b->depth();
-                   });
+  std::vector<lir::Loop *> loops = vhls::reportLoopOrder(loopInfo);
   if (loops.size() != pipeTop->loops.size())
     return fail("probe IR and report disagree on loop count");
 
@@ -388,18 +315,14 @@ QoREstimation::build(const flow::KernelSpec &spec,
       if (inst->opcode() != Opcode::Load && inst->opcode() != Opcode::Store)
         continue;
       Model::Access access;
-      const lir::Value *ptr =
-          inst->operand(inst->opcode() == Opcode::Store ? 1 : 0);
-      const lir::Value *base = lir::pointerRoot(ptr);
-      access.arrayIdx = arrayIdxFor(base);
+      access.arrayIdx = arrayIdxFor(lir::pointerRoot(
+          inst->operand(inst->opcode() == Opcode::Store ? 1 : 0)));
       if (inst->opcode() == Opcode::Load)
         L.loadsPerBase[access.arrayIdx]++;
       const Model::Array &array = model.arrays[access.arrayIdx];
-      const auto *gep = dyn_cast<Instruction>(ptr);
-      if (gep && gep->opcode() == Opcode::GEP && gep->numOperands() >= 3 &&
-          2 + array.dim < gep->numOperands()) {
-        lir::LinearSubscript sub = lir::linearizeInIV(
-            gep->operand(2 + array.dim), iv ? iv : gep->operand(2 + array.dim));
+      if (const lir::Value *index =
+              vhls::dimSubscript(*inst, array.partition.dim)) {
+        lir::LinearSubscript sub = lir::linearizeInIV(index, iv ? iv : index);
         if (sub.valid && sub.symbols.empty()) {
           access.linear = true;
           access.ivCoef = sub.ivCoef;
@@ -549,9 +472,7 @@ QoR QoREstimation::estimate(const flow::KernelConfig &config) const {
       auto [count, cost] = ops;
       int64_t extraUnits = cost.dsp > 0 ? doublings - 1
                                         : (states[i].factor - 1) * count;
-      res.dsp += cost.dsp * extraUnits;
-      res.lut += cost.lut * extraUnits;
-      res.ff += cost.ff * extraUnits;
+      res += cost * extraUnits;
     }
   }
 

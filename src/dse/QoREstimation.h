@@ -17,7 +17,11 @@
 // Construction runs exactly two *probe* synthesis runs through the real
 // flow — the unoptimized baseline and one pipelined point — and extracts a
 // structural model (loop tree, trip counts, memory-access subscripts,
-// per-class op counts) from the probe's kept-alive IR. Every subsequent
+// per-class op counts) from the probe's kept-alive IR. It walks that IR
+// with the scheduler's own functions (vhls/Estimate.h): the arrays and
+// their partition directives, the partitioned-dimension subscripts and
+// the report loop order; estimates classify banks and bound ResMII with
+// the scheduler's bankClassOf and ResMIIAccumulator. Every subsequent
 // estimate() is pure arithmetic over that model: microseconds instead of a
 // full synthesis run, and safe to call concurrently from the evaluator's
 // thread pool. Probes are real synthesis results and are exposed so the

@@ -9,6 +9,9 @@ namespace mha::dse {
 
 namespace {
 
+/// Genetic population size and generations; anneal walk length.
+constexpr size_t kPopulationSize = 16, kGenerations = 8, kAnnealSteps = 64;
+
 size_t effectiveBudget(const StrategyOptions &options, size_t upper) {
   if (options.budget == 0)
     return upper;
@@ -224,7 +227,7 @@ public:
     StrategyResult result;
     result.strategy = name();
     const size_t popSize = std::max<size_t>(
-        2, std::min(options.populationSize, space.size()));
+        2, std::min(kPopulationSize, space.size()));
     SplitMix64 rng(options.seed);
 
     // Initial population: a seeded sample without replacement.
@@ -235,8 +238,7 @@ public:
     std::vector<flow::KernelConfig> population = std::move(deck);
 
     ParetoArchive estArchive(archive.objectives());
-    for (size_t gen = 0; gen < std::max<size_t>(1, options.generations);
-         ++gen) {
+    for (size_t gen = 0; gen < kGenerations; ++gen) {
       if (options.estimateBudget != 0) {
         size_t remaining =
             options.estimateBudget -
@@ -354,10 +356,9 @@ public:
     // regression is within a linearly cooling integer threshold. Pure
     // integer arithmetic — no exp(), no floating-point acceptance — so
     // a seed replays the identical walk everywhere.
-    const size_t steps = std::max<size_t>(1, options.annealSteps);
     const int64_t t0 =
         std::max<int64_t>(1, currentEst.latencyCycles / 4);
-    for (size_t step = 0; step < steps; ++step) {
+    for (size_t step = 0; step < kAnnealSteps; ++step) {
       if (options.estimateBudget != 0 &&
           result.estimated >= options.estimateBudget)
         break;
@@ -370,7 +371,7 @@ public:
       ++result.estimated;
       estArchive.insert(candidate, candidateEst);
       int64_t threshold =
-          t0 * int64_t(steps - step) / int64_t(steps);
+          t0 * int64_t(kAnnealSteps - step) / int64_t(kAnnealSteps);
       if (candidateEst.latencyCycles - currentEst.latencyCycles <=
           threshold) {
         current = candidate;

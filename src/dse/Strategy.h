@@ -63,11 +63,6 @@ struct StrategyOptions {
   /// (0 = unlimited). Estimates are not evaluator requests and never
   /// count against `budget`.
   size_t estimateBudget = 0;
-  /// Genetic-strategy knobs.
-  size_t populationSize = 16;
-  size_t generations = 8;
-  /// Threshold-accepting walk length.
-  size_t annealSteps = 64;
   /// Archive analytical estimates instead of synthesizing: every visit
   /// goes through Evaluator::estimateAll, so the only synthesis runs are
   /// the estimator's probes.

@@ -48,18 +48,6 @@ Function *getFMulAddIntrinsic(Module &module, Type *type) {
                       ctx.fnTy(type, {type, type, type}));
 }
 
-Function *getSMaxIntrinsic(Module &module) {
-  LContext &ctx = module.context();
-  return getOrDeclare(module, "llvm.smax.i64",
-                      ctx.fnTy(ctx.i64(), {ctx.i64(), ctx.i64()}));
-}
-
-Function *getSMinIntrinsic(Module &module) {
-  LContext &ctx = module.context();
-  return getOrDeclare(module, "llvm.smin.i64",
-                      ctx.fnTy(ctx.i64(), {ctx.i64(), ctx.i64()}));
-}
-
 Function *getSqrtIntrinsic(Module &module, Type *type) {
   LContext &ctx = module.context();
   return getOrDeclare(module, strfmt("llvm.sqrt.%s", typeSuffix(type)),

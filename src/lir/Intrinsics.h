@@ -26,9 +26,6 @@ bool isHlsMathFunction(const std::string &name);
 Function *getMemcpyIntrinsic(Module &module);
 /// Declares (or finds) @llvm.fmuladd.<ty> : T(T, T, T).
 Function *getFMulAddIntrinsic(Module &module, Type *type);
-/// Declares (or finds) @llvm.smax.i64 / @llvm.smin.i64.
-Function *getSMaxIntrinsic(Module &module);
-Function *getSMinIntrinsic(Module &module);
 /// Declares (or finds) @llvm.sqrt.<ty> : T(T).
 Function *getSqrtIntrinsic(Module &module, Type *type);
 

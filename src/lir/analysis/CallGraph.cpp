@@ -89,10 +89,6 @@ const CallGraph::Node &CallGraph::node(const Function *fn) const {
   return it == nodes_.end() ? empty : it->second;
 }
 
-const std::vector<Function *> &CallGraph::callees(const Function *fn) const {
-  return node(fn).callees;
-}
-
 const std::vector<Instruction *> &
 CallGraph::callSitesOf(const Function *fn) const {
   return node(fn).callSites;

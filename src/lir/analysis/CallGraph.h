@@ -21,9 +21,6 @@ class CallGraph {
 public:
   explicit CallGraph(Module &module);
 
-  /// Distinct callees of `fn` (direct calls only, in first-call-site order).
-  const std::vector<Function *> &callees(const Function *fn) const;
-
   /// All call instructions in the module whose callee is `fn`.
   const std::vector<Instruction *> &callSitesOf(const Function *fn) const;
 

@@ -66,25 +66,6 @@ Value *OpBuilder::binary(const char *opName, Value *lhs, Value *rhs) {
   return createOp(opName, {lhs, rhs}, {lhs->type()})->result();
 }
 
-Value *OpBuilder::cmpi(const std::string &pred, Value *lhs, Value *rhs) {
-  assert(isValidCmpPredicate(pred, false));
-  Operation *op = createOp(ops::CmpI, {lhs, rhs}, {ctx_.i1()});
-  op->setAttr("predicate", ctx_.stringAttr(pred));
-  return op->result();
-}
-
-Value *OpBuilder::cmpf(const std::string &pred, Value *lhs, Value *rhs) {
-  assert(isValidCmpPredicate(pred, true));
-  Operation *op = createOp(ops::CmpF, {lhs, rhs}, {ctx_.i1()});
-  op->setAttr("predicate", ctx_.stringAttr(pred));
-  return op->result();
-}
-
-Value *OpBuilder::select(Value *cond, Value *trueV, Value *falseV) {
-  return createOp(ops::Select, {cond, trueV, falseV}, {trueV->type()})
-      ->result();
-}
-
 Value *OpBuilder::indexCast(Value *v, Type *to) {
   return createOp(ops::IndexCast, {v}, {to})->result();
 }
@@ -118,10 +99,6 @@ void OpBuilder::memrefStore(Value *value, Value *memref,
   std::vector<Value *> operands{value, memref};
   operands.insert(operands.end(), indices.begin(), indices.end());
   createOp(ops::MemRefStore, std::move(operands), {});
-}
-
-void OpBuilder::memrefCopy(Value *src, Value *dst) {
-  createOp(ops::MemRefCopy, {src, dst}, {});
 }
 
 ForOp OpBuilder::affineFor(int64_t lb, int64_t ub, int64_t step) {

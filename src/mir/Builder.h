@@ -48,9 +48,6 @@ public:
   Value *constantInt(int64_t value, Type *type);
   Value *constantFloat(double value, Type *type);
   Value *binary(const char *opName, Value *lhs, Value *rhs);
-  Value *cmpi(const std::string &pred, Value *lhs, Value *rhs);
-  Value *cmpf(const std::string &pred, Value *lhs, Value *rhs);
-  Value *select(Value *cond, Value *trueV, Value *falseV);
   Value *indexCast(Value *v, Type *to);
   Value *sitofp(Value *v, Type *to);
   Value *mathOp(const char *opName, Value *v);
@@ -59,7 +56,6 @@ public:
   Value *memrefAlloc(MemRefType *type);
   Value *memrefLoad(Value *memref, std::vector<Value *> indices);
   void memrefStore(Value *value, Value *memref, std::vector<Value *> indices);
-  void memrefCopy(Value *src, Value *dst);
 
   // --- affine ---
   /// Creates affine.for lb..ub step `step`; returns the loop. The body has

@@ -52,12 +52,10 @@ uint64_t bitsOf(double v) {
 struct MContext::Impl {
   explicit Impl(MContext &ctx)
       : indexTy(ctx, Type::Kind::Index), noneTy(ctx, Type::Kind::None),
-        f32Ty(ctx, Type::Kind::Float), f64Ty(ctx, Type::Kind::Double),
-        interner(arena) {}
+        f32Ty(ctx, Type::Kind::Float), f64Ty(ctx, Type::Kind::Double) {}
 
   BumpAllocator arena;
   SimpleMType indexTy, noneTy, f32Ty, f64Ty;
-  StringInterner interner;
 
   std::unordered_map<unsigned, IntegerType *> intTypes;
   // Composite-key uniquing: FNV hash of the structure -> candidate list,
@@ -93,10 +91,6 @@ template <typename T, typename... Args> T *MContext::alloc(Args &&...args) {
 
 MContext::MContext() : impl_(std::make_unique<Impl>(*this)) {}
 MContext::~MContext() = default;
-
-std::string_view MContext::internString(std::string_view s) {
-  return impl_->interner.intern(s);
-}
 
 size_t MContext::arenaBytes() const { return impl_->arena.bytesAllocated(); }
 

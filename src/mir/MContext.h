@@ -57,10 +57,6 @@ public:
   const AffineExpr *affineCeilDiv(const AffineExpr *lhs,
                                   const AffineExpr *rhs);
 
-  /// Interns `s` into the context arena and returns a view that stays
-  /// valid for the context's lifetime (same contents -> same pointer).
-  std::string_view internString(std::string_view s);
-
   /// Bytes currently held by the uniquing arena (telemetry/tests).
   size_t arenaBytes() const;
 

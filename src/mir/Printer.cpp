@@ -209,11 +209,4 @@ std::string printModule(ModuleOp module) {
   return os.str();
 }
 
-std::string printOp(Operation *op) {
-  std::ostringstream os;
-  Printer printer(os);
-  printer.printAnyOp(op, 0);
-  return os.str();
-}
-
 } // namespace mha::mir

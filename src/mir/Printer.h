@@ -13,6 +13,5 @@ class Operation;
 struct ModuleOp;
 
 std::string printModule(ModuleOp module);
-std::string printOp(Operation *op);
 
 } // namespace mha::mir

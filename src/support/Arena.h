@@ -1,4 +1,4 @@
-// Arena.h - bump-pointer allocation and string interning.
+// Arena.h - bump-pointer allocation.
 //
 // The IR contexts unique types/attrs/constants for the lifetime of the
 // context; individually heap-allocated nodes waste a malloc header and a
@@ -6,21 +6,14 @@
 // hands out pointers from large slabs and frees them all at once; nodes
 // with non-trivial members (std::string, std::vector) register a
 // destructor so the arena can still run them at teardown.
-//
-// StringInterner stores each distinct string once in the arena and hands
-// out stable string_views, so uniquing maps can key on views into the
-// interned storage instead of owning copies.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <new>
-#include <string_view>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 namespace mha {
@@ -61,15 +54,6 @@ public:
   template <typename T> void registerDestructor(T *obj) {
     if constexpr (!std::is_trivially_destructible_v<T>)
       destructors_.push_back({obj, [](void *p) { static_cast<T *>(p)->~T(); }});
-  }
-
-  /// Copies `s` into the arena; the result stays valid until reset().
-  std::string_view copyString(std::string_view s) {
-    if (s.empty())
-      return {};
-    char *mem = static_cast<char *>(allocate(s.size(), 1));
-    std::memcpy(mem, s.data(), s.size());
-    return std::string_view(mem, s.size());
   }
 
   /// Destroys registered objects (newest first) and frees every slab.
@@ -116,36 +100,6 @@ private:
   char *end_ = nullptr;
   size_t slabSize_ = kInitialSlab;
   size_t bytesAllocated_ = 0;
-};
-
-/// Uniques strings into a BumpAllocator. intern() returns a stable view;
-/// interning the same contents twice returns the identical view (pointer
-/// equality holds), so interned strings can be compared and hashed by
-/// address where profitable.
-class StringInterner {
-public:
-  explicit StringInterner(BumpAllocator &arena) : arena_(arena) {}
-
-  std::string_view intern(std::string_view s) {
-    auto it = strings_.find(s);
-    if (it != strings_.end())
-      return *it;
-    std::string_view stored = arena_.copyString(s);
-    strings_.insert(stored);
-    return stored;
-  }
-
-  size_t size() const { return strings_.size(); }
-
-private:
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>()(s);
-    }
-  };
-  BumpAllocator &arena_;
-  std::unordered_set<std::string_view, Hash, std::equal_to<>> strings_;
 };
 
 } // namespace mha

@@ -16,7 +16,6 @@
 #include <map>
 #include <set>
 #include <span>
-#include <unordered_map>
 
 namespace mha::vhls {
 
@@ -26,29 +25,6 @@ using lir::BasicBlock;
 using lir::Function;
 using lir::Instruction;
 using lir::Opcode;
-
-/// Which physical memory bank an access can touch, within its base array.
-struct BankClass {
-  bool known = false;   // residue analysis succeeded
-  int64_t residue = 0;  // subscript offset mod factor (cyclic)
-  int64_t ivCoef = 0;
-};
-
-/// Array partition directive (cyclic/block on one dimension).
-struct PartitionInfo {
-  unsigned dim = 0;
-  int64_t factor = 1;
-  bool cyclic = true;
-};
-
-/// Per-pointer-base memory geometry.
-struct ArrayInfo {
-  std::string name;
-  int64_t bytes = 0;
-  PartitionInfo partition;
-  bool onChip = false; // alloca (vs. interface argument)
-  std::vector<int64_t> dims;
-};
 
 /// Edges grouped by one end node in compressed rows: node p's edges are
 /// edges[begin[p] .. begin[p + 1]).
@@ -74,38 +50,6 @@ template <typename Edge> struct EdgeRows {
     forEach([&](size_t p, const Edge &edge) { rows.edges[next[p]++] = edge; });
     return rows;
   }
-};
-
-/// Dense ids for the reservation rows of a block or loop body: one row per
-/// distinct (base pointer id, bank key), numbered in first-use order.
-class BankRows {
-public:
-  /// The row of (base, key), or -1.
-  int find(int base, int64_t key) const {
-    auto it = rowOf_.find({base, key});
-    return it == rowOf_.end() ? -1 : it->second;
-  }
-
-  /// The row of (base, key), added if it is new.
-  int get(int base, int64_t key) {
-    return rowOf_.try_emplace({base, key}, static_cast<int>(rowOf_.size()))
-        .first->second;
-  }
-
-  void clear() { rowOf_.clear(); }
-
-private:
-  struct Key {
-    int base;
-    int64_t key;
-    bool operator==(const Key &) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key &k) const {
-      return std::hash<int64_t>()(k.key) * 31 + static_cast<size_t>(k.base);
-    }
-  };
-  std::unordered_map<Key, int, KeyHash> rowOf_;
 };
 
 /// What scheduling needs to know about one instruction, computed once per
@@ -140,11 +84,11 @@ struct ModuloBody {
   EdgeRows<unsigned> operandDefs;
   /// Memory dependences between body ops, indexed by destination.
   EdgeRows<InEdge> depsInto;
-  /// Memory ops: the reservation row of the bank class each one uses (-1
-  /// for other ops) and whether that bank is statically unknown.
+  /// Memory ops: the row in the scheduler's bankRows_ of the bank class
+  /// each one uses (-1 for other ops) and whether that bank is statically
+  /// unknown.
   std::vector<int> portRow;
   std::vector<char> bankUnknown;
-  std::vector<int> rowBase; // base pointer id of each row
 };
 
 class FunctionScheduler {
@@ -167,17 +111,6 @@ public:
     lir::LoopInfo loopInfo(fn_, domTree);
     analyses.finish();
 
-    // Innermost-first loop processing.
-    std::vector<lir::Loop *> loops;
-    for (const auto &loop : loopInfo.loops())
-      loops.push_back(loop.get());
-    // Stable sort keeps LoopInfo's deterministic (RPO-header) order among
-    // loops of equal depth, so report rows come out the same every run.
-    std::stable_sort(loops.begin(), loops.end(),
-                     [](lir::Loop *a, lir::Loop *b) {
-                       return a->depth() > b->depth();
-                     });
-
     // Schedule every block once (list scheduling).
     {
       telemetry::Span span("vhls-blocks", "vhls");
@@ -185,7 +118,8 @@ public:
         scheduleBlock(bb);
     }
 
-    for (lir::Loop *loop : loops)
+    // Innermost-first loop processing.
+    for (lir::Loop *loop : reportLoopOrder(loopInfo))
       processLoop(loop, loopInfo);
 
     // Function latency: blocks directly at function level + top loops.
@@ -246,60 +180,9 @@ private:
 
   void collectArrays() {
     arrayOfBase_.assign(fn_.numArgs() + costs_.size(), -1);
-    auto addArray = [&](const lir::Value *base, const std::string &name,
-                        const std::vector<int64_t> &dims,
-                        lir::Type *elemTy, bool onChip,
-                        const lir::MDNode *partitionMD) {
-      if (dims.empty())
-        return;
-      ArrayInfo info;
-      info.name = name;
-      info.dims = dims;
-      int64_t elems = 1;
-      for (int64_t d : dims)
-        elems *= d;
-      info.bytes = elems * static_cast<int64_t>(elemTy->sizeInBytes());
-      info.onChip = onChip;
-      if (partitionMD && partitionMD->size() > 0) {
-        // First triple wins (one partition directive per array here).
-        const lir::MDNode *triple = partitionMD->getNode(0);
-        if (triple && triple->size() >= 3) {
-          info.partition.dim = static_cast<unsigned>(triple->getInt(0));
-          info.partition.factor = triple->getInt(1);
-          info.partition.cyclic = triple->getString(2) != "block";
-        }
-      }
-      arrayOfBase_[baseId(base)] = static_cast<int>(arrays_.size());
-      arrays_.push_back(std::move(info));
-    };
-
-    for (const auto &arg : fn_.args()) {
-      std::vector<int64_t> dims = lir::arrayDims(arg->type());
-      if (dims.empty())
-        continue;
-      lir::Type *elem = arg->type();
-      while (const auto *pt = dyn_cast<lir::PointerType>(elem))
-        elem = pt->pointee();
-      while (const auto *at = dyn_cast<lir::ArrayType>(elem))
-        elem = at->element();
-      addArray(arg.get(), arg->name(), dims, elem, /*onChip=*/false,
-               arg->getMetadata("xlx.array_partition"));
-    }
-    for (BasicBlock *bb : fn_.blockPtrs()) {
-      for (auto &inst : *bb) {
-        if (inst->opcode() != Opcode::Alloca)
-          continue;
-        std::vector<int64_t> dims;
-        lir::Type *elem = inst->allocatedType();
-        while (const auto *at = dyn_cast<lir::ArrayType>(elem)) {
-          dims.push_back(static_cast<int64_t>(at->numElements()));
-          elem = at->element();
-        }
-        addArray(inst.get(), inst->hasName() ? inst->name() : "buf", dims,
-                 elem, /*onChip=*/true,
-                 inst->getMetadata("xlx.array_partition"));
-      }
-    }
+    arrays_ = collectArrayBases(fn_);
+    for (size_t i = 0; i < arrays_.size(); ++i)
+      arrayOfBase_[baseId(arrays_[i].value)] = static_cast<int>(i);
   }
 
   /// Bank classification of a memory access, relative to `iv` (may be
@@ -309,54 +192,27 @@ private:
   BankClass classify(const Instruction &memop, const InstCost &cost,
                      const lir::Value *iv,
                      const lir::MemAccess *access = nullptr) {
-    BankClass out;
-    if (cost.array < 0 || arrays_[cost.array].partition.factor <= 1) {
-      // Unpartitioned: single bank; everyone conflicts -> model as known
-      // residue 0.
-      out.known = true;
-      return out;
+    static const ArrayBase kScalar;
+    const ArrayBase &array = cost.array < 0 ? kScalar : arrays_[cost.array];
+    int64_t ivCoef = 0, constant = 0;
+    if (array.partition.factor > 1) {
+      // Only a partitioned array's bank depends on the subscript.
+      unsigned dim = array.partition.dim;
+      const lir::Value *index = dimSubscript(memop, dim);
+      if (!index)
+        return BankClass(); // flat gep on a partitioned array
+      lir::LinearSubscript fresh;
+      const lir::LinearSubscript *sub = &fresh;
+      if (access && access->firstIndex > 0)
+        sub = &access->subscripts[2 + dim - access->firstIndex];
+      else
+        fresh = lir::linearizeInIV(index, iv ? iv : index);
+      if (!sub->valid || !sub->symbols.empty())
+        return BankClass();
+      ivCoef = sub->ivCoef;
+      constant = sub->constant;
     }
-    const ArrayInfo &info = arrays_[cost.array];
-    const auto *gep = dyn_cast<Instruction>(
-        memop.operand(memop.opcode() == Opcode::Store ? 1 : 0));
-    if (!gep || gep->opcode() != Opcode::GEP || gep->numOperands() < 3) {
-      out.known = false; // flat gep on a partitioned array
-      return out;
-    }
-    unsigned dim = info.partition.dim;
-    unsigned opIdx = 2 + dim; // after base and leading zero
-    if (opIdx >= gep->numOperands()) {
-      out.known = false;
-      return out;
-    }
-    lir::LinearSubscript fresh;
-    const lir::LinearSubscript *sub = &fresh;
-    if (access && access->firstIndex > 0)
-      sub = &access->subscripts[opIdx - access->firstIndex];
-    else
-      fresh = lir::linearizeInIV(gep->operand(opIdx),
-                                 iv ? iv : gep->operand(opIdx));
-    if (!sub->valid || !sub->symbols.empty()) {
-      out.known = false;
-      return out;
-    }
-    int64_t f = info.partition.factor;
-    if (info.partition.cyclic) {
-      out.known = true;
-      out.residue = ((sub->constant % f) + f) % f;
-      out.ivCoef = sub->ivCoef % f;
-    } else {
-      // Block partitioning: bank = idx / (extent/factor); the residue is
-      // only static for constant subscripts.
-      if (sub->ivCoef == 0) {
-        int64_t extent = info.dims[dim];
-        out.known = true;
-        out.residue = sub->constant / std::max<int64_t>(1, extent / f);
-      } else {
-        out.known = false;
-      }
-    }
-    return out;
+    return bankClassOf(array.partition, array.extent(), ivCoef, constant);
   }
 
   // ====================== per-instruction costs ======================
@@ -451,7 +307,6 @@ private:
     // ports in use per cycle.
     bankRows_.clear();
     std::vector<std::vector<int>> portUse;
-    std::vector<int> rowBase; // base pointer id of each row
     std::vector<std::vector<int>> fuUse(fuLimit_.size());
     int64_t blockLat = 0;
     // Calls are control barriers: they start after everything before them
@@ -504,17 +359,17 @@ private:
 
       // Memory port constraint.
       if (inst->opcode() == Opcode::Load || inst->opcode() == Opcode::Store) {
+        // Straight-line code has no iteration stride: accesses to one
+        // residue share a row whatever their subscript's coefficient.
         BankClass bank = classify(*inst, cost, nullptr);
-        int row = bankRows_.get(cost.base, bank.known ? bank.residue : -1);
-        if (static_cast<size_t>(row) == portUse.size()) {
-          portUse.emplace_back();
-          rowBase.push_back(cost.base);
-        }
+        bank.ivCoef = 0;
+        int row = bankRows_.add(cost.base, bank);
+        portUse.resize(bankRows_.rows());
         reserveFirstFree(portUse[row], target_.memPortsPerBank, slot.start);
         if (!bank.known) {
           // Unknown bank blocks a port on every residue class too.
           for (size_t other = 0; other < portUse.size(); ++other)
-            if (rowBase[other] == cost.base &&
+            if (bankRows_.baseOf(other) == cost.base &&
                 other != static_cast<size_t>(row)) {
               std::vector<int> &use = portUse[other];
               if (static_cast<size_t>(slot.start) >= use.size())
@@ -709,7 +564,6 @@ private:
     mb.portRow.assign(n, -1);
     mb.bankUnknown.assign(n, 0);
     bankRows_.clear();
-    std::vector<int64_t> knownIn, unknownIn; // accesses per row
     for (size_t p = 0; p < n; ++p) {
       Instruction *inst = mb.ops[p];
       if (inst->opcode() != Opcode::Load && inst->opcode() != Opcode::Store)
@@ -718,30 +572,8 @@ private:
       BankClass bank = classify(
           *inst, cost, loop.indVar,
           accessAt[p] >= 0 ? &accesses[accessAt[p]] : nullptr);
-      int64_t classKey = bank.residue * 1000 + bank.ivCoef;
-      int row = bankRows_.get(cost.base, bank.known ? classKey : -1);
-      if (static_cast<size_t>(row) == mb.rowBase.size()) {
-        mb.rowBase.push_back(cost.base);
-        knownIn.push_back(0);
-        unknownIn.push_back(0);
-      }
-      ++(bank.known ? knownIn : unknownIn)[row];
-      mb.portRow[p] = row;
+      mb.portRow[p] = bankRows_.add(cost.base, bank);
       mb.bankUnknown[p] = !bank.known;
-    }
-    // A known bank class contends with every unknown access to its array.
-    int64_t resMII = 1;
-    for (size_t row = 0; row < mb.rowBase.size(); ++row) {
-      if (knownIn[row] > 0) {
-        int unknownRow = bankRows_.find(mb.rowBase[row], -1);
-        int64_t total =
-            knownIn[row] + (unknownRow >= 0 ? unknownIn[unknownRow] : 0);
-        resMII = std::max(resMII,
-                          portLimitedMII(total, target_.memPortsPerBank));
-      }
-      if (unknownIn[row] > 0)
-        resMII = std::max(
-            resMII, portLimitedMII(unknownIn[row], target_.memPortsPerBank));
     }
     // Functional-unit allocation limits contribute too.
     std::vector<int64_t> classOps(fuLimit_.size(), 0);
@@ -749,10 +581,8 @@ private:
       if (fu >= 0)
         classOps[fu]++;
     for (size_t fu = 0; fu < classOps.size(); ++fu)
-      if (classOps[fu] > 0)
-        resMII = std::max(resMII,
-                          allocationLimitedMII(classOps[fu], fuLimit_[fu]));
-    lr.resMII = resMII;
+      bankRows_.addAllocation(classOps[fu], fuLimit_[fu]);
+    lr.resMII = bankRows_.resMII(target_.memPortsPerBank);
 
     // --- RecMII ---
     // Each carried edge s->t (distance d) closes a cycle through the
@@ -761,7 +591,7 @@ private:
     lr.recMII = computeRecMII(mb);
 
     // --- iterative modulo scheduling ---
-    int64_t mii = std::max({resMII, lr.recMII, targetII});
+    int64_t mii = std::max({lr.resMII, lr.recMII, targetII});
     for (int64_t ii = mii; ii <= mii + 128; ++ii) {
       int64_t depth = 0;
       if (tryModuloSchedule(mb, ii, depth)) {
@@ -875,7 +705,7 @@ private:
                          int64_t &depthOut) {
     telemetry::Span span("vhls-modulo-sweeps", "vhls");
     size_t n = mb.ops.size();
-    size_t rows = mb.rowBase.size();
+    size_t rows = bankRows_.rows();
     size_t slots = static_cast<size_t>(ii);
     std::vector<int64_t> start(n, 0);
     std::vector<char> placed(n, 0);
@@ -924,7 +754,7 @@ private:
           if (mb.bankUnknown[p])
             for (size_t other = 0; other < rows; ++other)
               if (rowUsed[other] && other != static_cast<size_t>(row) &&
-                  mb.rowBase[other] == mb.rowBase[row])
+                  bankRows_.baseOf(other) == bankRows_.baseOf(row))
                 portUse[other * slots + cycle % ii]++;
         }
         if (int fu = mb.fuId[p];
@@ -1005,20 +835,20 @@ private:
                           : 0;
           limit > 0)
         count = std::min<int64_t>(count, limit);
-      const ResourceUsage &cost = fuClasses_[cls].perUnit;
-      total.dsp += cost.dsp * count;
-      total.lut += cost.lut * count;
-      total.ff += cost.ff * count;
+      total += fuClasses_[cls].perUnit * count;
     }
     // Control FSM overhead.
     total += fsmOverhead(report_.fsmStates, target_);
 
     // Memories, in discovery order (arguments first, then allocas as
     // encountered).
-    for (const ArrayInfo &info : arrays_) {
+    for (const ArrayBase &info : arrays_) {
       ArrayReport ar;
-      ar.name = info.name;
-      ar.bytes = info.bytes;
+      ar.name = info.onChip && !info.value->hasName() ? "buf"
+                                                       : info.value->name();
+      ar.bytes = static_cast<int64_t>(info.elementType->sizeInBytes());
+      for (int64_t d : info.dims)
+        ar.bytes *= d;
       ar.banks = std::max<int64_t>(1, info.partition.factor);
       ar.partition =
           info.partition.factor > 1
@@ -1027,7 +857,7 @@ private:
                        info.partition.dim,
                        static_cast<long long>(info.partition.factor))
               : "-";
-      ar.bramBlocks = partitionedBramBlocks(info.bytes, ar.banks);
+      ar.bramBlocks = partitionedBramBlocks(ar.bytes, ar.banks);
       ar.onChip = info.onChip;
       if (info.onChip)
         total.bram += ar.bramBlocks;
@@ -1056,12 +886,12 @@ private:
   FunctionReport report_;
 
   std::vector<InstCost> costs_;     // by Instruction::ordinal()
-  std::vector<ArrayInfo> arrays_;   // in discovery order
+  std::vector<ArrayBase> arrays_;   // in discovery order
   std::vector<int> arrayOfBase_;    // base id -> index into arrays_, or -1
   std::vector<const lir::Value *> otherBases_; // roots beyond args/insts
   std::vector<FuClass> fuClasses_;  // by dense FU-class id
   std::vector<int> fuLimit_;        // allocation limit by dense limit id
-  BankRows bankRows_;               // reused by every block and body
+  ResMIIAccumulator bankRows_;      // reused by every block and body
   std::map<const BasicBlock *, int64_t> blockLatency_;
   std::map<const lir::Loop *, int64_t> loopTotal_;
   std::map<const lir::Loop *, LoopReport> loopReports_;

@@ -29,6 +29,10 @@ struct ResourceUsage {
     ff += other.ff;
     return *this;
   }
+  /// `n` units of this cost.
+  ResourceUsage operator*(int64_t n) const {
+    return {dsp * n, bram * n, lut * n, ff * n};
+  }
 };
 
 /// Per-operation characterization.

@@ -551,9 +551,6 @@ TEST(Strategies, GeneticAndAnnealAreSeedDeterministic) {
     DesignSpace space(kernel("fir"), smallGrid());
     StrategyOptions options;
     options.seed = 42;
-    options.populationSize = 4;
-    options.generations = 3;
-    options.annealSteps = 12;
     Evaluator a(kernel("fir"));
     Evaluator b(kernel("fir"));
     std::optional<DseResult> first = runDse(space, a, name, options);

@@ -658,14 +658,3 @@ TEST(Arena, AllocatesAlignsAndRunsDestructors) {
   EXPECT_EQ(destroyed, 100);
 }
 
-TEST(Arena, InternerDeduplicatesStrings) {
-  BumpAllocator arena;
-  StringInterner interner(arena);
-  std::string a = "hello";
-  std::string b = "hello";
-  std::string_view ia = interner.intern(a);
-  std::string_view ib = interner.intern(b);
-  EXPECT_EQ(ia, "hello");
-  EXPECT_EQ(ia.data(), ib.data()); // same storage
-  EXPECT_NE(interner.intern("world").data(), ia.data());
-}

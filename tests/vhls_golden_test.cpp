@@ -12,13 +12,23 @@
 // more than one top-level loop nest; and a generated 4096-trip 3-tap
 // pipelined FIR at unroll = partition {64,128,256}.
 //
-// A change that is *meant* to move reports regenerates the file with
+// EstimatorGolden pins the DSE estimator's predictions the same way: one
+// hash per kernel (and per dataflow setting on multi-nest kernels) over
+// the estimateAll QoRs of II {0,1,2,4} x unroll {1,2,4,8,16,32} x
+// partition {1,2,4,8,16,32}, recorded in golden/estimator_qors.txt. The
+// estimator's error bounds (dse_estimator_test) would let a drift within
+// 10% through; this does not.
+//
+// A change that is *meant* to move reports or estimates regenerates both
+// files with
 //   MHA_VHLS_GOLDEN_WRITE=1 ./vhls_golden_test
-// and says why in its description.
+// and says why in its description. A new pin for a change that must not
+// move anything is recorded on the commit before that change.
 //
 // The file also pins RecMII on a hand-built loop whose carried dependence
 // closes through a long same-iteration chain.
 
+#include "dse/Evaluator.h"
 #include "flow/Flow.h"
 #include "flow/Kernels.h"
 #include "lir/LContext.h"
@@ -105,33 +115,21 @@ std::vector<GoldenPoint> goldenGrid() {
   return points;
 }
 
-std::string goldenPath() {
-  return std::string(MHA_GOLDEN_DIR) + "/vhls_reports.txt";
-}
-
-} // namespace
-
-TEST(VhlsGolden, ReportsMatchRecordedHashes) {
-  std::map<std::string, std::string> actual;
-  for (const GoldenPoint &point : goldenGrid()) {
-    flow::FlowResult result = flow::runAdaptorFlow(*point.spec, point.config);
-    ASSERT_TRUE(result.ok) << point.key << ": " << result.diagnostics;
-    actual[point.key] = strfmt(
-        "%016llx",
-        static_cast<unsigned long long>(hashString(result.synth.json())));
-  }
-
+/// Compares `actual` (point -> hash) with golden/`file`, or rewrites the
+/// file when MHA_VHLS_GOLDEN_WRITE is set.
+void checkGolden(const std::string &file,
+                 const std::map<std::string, std::string> &actual) {
+  std::string path = std::string(MHA_GOLDEN_DIR) + "/" + file;
   if (std::getenv("MHA_VHLS_GOLDEN_WRITE")) {
-    std::ofstream out(goldenPath());
-    ASSERT_TRUE(out) << "cannot write " << goldenPath();
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
     for (const auto &[key, hash] : actual)
       out << key << ' ' << hash << '\n';
-    GTEST_SKIP() << "wrote " << actual.size() << " hashes to "
-                 << goldenPath();
+    GTEST_SKIP() << "wrote " << actual.size() << " hashes to " << path;
   }
 
-  std::ifstream in(goldenPath());
-  ASSERT_TRUE(in) << "missing golden file " << goldenPath();
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path;
   std::map<std::string, std::string> expected;
   std::string key, hash;
   while (in >> key >> hash)
@@ -143,11 +141,67 @@ TEST(VhlsGolden, ReportsMatchRecordedHashes) {
       ADD_FAILURE() << "golden point not produced: " << pointName;
       continue;
     }
-    EXPECT_EQ(it->second, want) << "report changed: " << pointName;
+    EXPECT_EQ(it->second, want) << "result changed: " << pointName;
   }
   for (const auto &[pointName, got] : actual)
     EXPECT_TRUE(expected.count(pointName))
         << "point missing from golden file: " << pointName;
+}
+
+std::string hashHex(std::string_view text) {
+  return strfmt("%016llx",
+                static_cast<unsigned long long>(hashString(text)));
+}
+
+} // namespace
+
+TEST(VhlsGolden, ReportsMatchRecordedHashes) {
+  std::map<std::string, std::string> actual;
+  for (const GoldenPoint &point : goldenGrid()) {
+    flow::FlowResult result = flow::runAdaptorFlow(*point.spec, point.config);
+    ASSERT_TRUE(result.ok) << point.key << ": " << result.diagnostics;
+    actual[point.key] = hashHex(result.synth.json());
+  }
+  checkGolden("vhls_reports.txt", actual);
+}
+
+TEST(EstimatorGolden, EstimatesMatchRecordedHashes) {
+  std::map<std::string, std::string> actual;
+  for (const flow::KernelSpec &spec : flow::allKernels()) {
+    dse::Evaluator evaluator(spec);
+    bool multiNest = isMultiNest(spec);
+    for (bool dataflow : {false, true}) {
+      if (dataflow && !multiNest)
+        continue;
+      std::vector<flow::KernelConfig> configs;
+      for (int64_t ii : {0, 1, 2, 4})
+        for (int64_t unroll : {1, 2, 4, 8, 16, 32})
+          for (int64_t partition : {1, 2, 4, 8, 16, 32}) {
+            flow::KernelConfig config;
+            config.pipelineII = ii;
+            config.unrollFactor = unroll;
+            config.partitionFactor = partition;
+            config.dataflow = dataflow;
+            configs.push_back(config);
+          }
+      std::vector<dse::QoR> qors = evaluator.estimateAll(configs);
+      std::string text;
+      for (size_t i = 0; i < configs.size(); ++i) {
+        const dse::QoR &q = qors[i];
+        ASSERT_TRUE(q.ok) << pointKey(spec.name, configs[i]) << ": "
+                          << q.error;
+        text += strfmt("%s lat=%lld dsp=%lld bram=%lld lut=%lld ff=%lld\n",
+                       pointKey(spec.name, configs[i]).c_str(),
+                       static_cast<long long>(q.latencyCycles),
+                       static_cast<long long>(q.dsp),
+                       static_cast<long long>(q.bram),
+                       static_cast<long long>(q.lut),
+                       static_cast<long long>(q.ff));
+      }
+      actual[spec.name + (dataflow ? "/dataflow" : "")] = hashHex(text);
+    }
+  }
+  checkGolden("estimator_qors.txt", actual);
 }
 
 // A carried dependence whose target comes first in the body: the store

@@ -5,6 +5,7 @@
 #include "lir/Parser.h"
 #include "lir/Printer.h"
 #include "support/StringUtils.h"
+#include "vhls/Estimate.h"
 #include "vhls/Vhls.h"
 
 #include <gtest/gtest.h>
@@ -720,4 +721,71 @@ exit:
     if (array.partition.find("block") != std::string::npos)
       found = true;
   EXPECT_TRUE(found);
+}
+
+// The bank classes the scheduler and the DSE estimator share
+// (vhls/Estimate.h).
+TEST(VhlsMemoryModel, BankClassOfCyclicBlockAndUnpartitioned) {
+  PartitionInfo cyclic;
+  cyclic.factor = 4;
+  BankClass c = bankClassOf(cyclic, 64, /*ivCoef=*/1, /*constant=*/6);
+  EXPECT_TRUE(c.known);
+  EXPECT_EQ(c.residue, 2);
+  EXPECT_EQ(c.ivCoef, 1);
+  EXPECT_EQ(c.key(), 2001);
+  // Negative offsets wrap to a non-negative residue.
+  EXPECT_EQ(bankClassOf(cyclic, 64, 0, -1).residue, 3);
+
+  // A negative stride keeps its sign (C++ remainder), so the key of
+  // residue 0 with stride -1 is -1.
+  BankClass down = bankClassOf(cyclic, 64, /*ivCoef=*/-5, /*constant=*/8);
+  EXPECT_TRUE(down.known);
+  EXPECT_EQ(down.residue, 0);
+  EXPECT_EQ(down.ivCoef, -1);
+  EXPECT_EQ(down.key(), -1);
+
+  PartitionInfo block;
+  block.factor = 4;
+  block.cyclic = false;
+  // Bank = index / (extent / factor) = 35 / 16.
+  BankClass fixed = bankClassOf(block, 64, 0, 35);
+  EXPECT_TRUE(fixed.known);
+  EXPECT_EQ(fixed.residue, 2);
+  EXPECT_EQ(fixed.key(), 2000);
+  // A block bank that moves with the iv is not static.
+  EXPECT_FALSE(bankClassOf(block, 64, 1, 35).known);
+
+  // One bank: known residue 0 whatever the subscript.
+  PartitionInfo none;
+  for (PartitionInfo partition : {none, block}) {
+    partition.factor = 1;
+    BankClass single = bankClassOf(partition, 64, 3, 7);
+    EXPECT_TRUE(single.known);
+    EXPECT_EQ(single.key(), 0);
+  }
+}
+
+TEST(VhlsMemoryModel, ResMIIAccumulatorMixesKnownUnknownAndFuLimits) {
+  BankClass bank0{true, 0, 0}, bank1{true, 1, 0}, unknown;
+  ResMIIAccumulator acc;
+  EXPECT_EQ(acc.add(0, bank0), 0);
+  EXPECT_EQ(acc.add(0, bank0), 0);
+  EXPECT_EQ(acc.add(0, bank1), 1);
+  EXPECT_EQ(acc.add(0, unknown), 2);
+  EXPECT_EQ(acc.add(0, unknown), 2);
+  EXPECT_EQ(acc.add(1, bank0), 3); // same class, other base: its own row
+  ASSERT_EQ(acc.rows(), 4u);
+  EXPECT_EQ(acc.baseOf(2), 0);
+  EXPECT_EQ(acc.baseOf(3), 1);
+  // Base 0's bank 0 row contends with both unknown accesses: 2 + 2.
+  // Base 1 sees none of them.
+  EXPECT_EQ(acc.resMII(1), 4);
+  EXPECT_EQ(acc.resMII(2), 2);
+  // Ten ops on two units bound the II at 5; unlimited classes do not.
+  acc.addAllocation(10, 2);
+  acc.addAllocation(100, 0);
+  EXPECT_EQ(acc.resMII(1), 5);
+  acc.clear();
+  EXPECT_EQ(acc.rows(), 0u);
+  EXPECT_EQ(acc.resMII(1), 1);
 }
